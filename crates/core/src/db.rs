@@ -39,7 +39,7 @@ use crate::compaction::{
 use crate::filename::{current_file, log_file, parse_file_name, table_file, vlog_file, FileType};
 use crate::iterator::{DbIter, InternalIterator, MergingIter, RunIter, ValueResolver};
 use crate::memtable::{LookupResult, MemTable};
-use crate::metrics::{MetricsSnapshot, QueueWaitSummary};
+use crate::metrics::{CacheMetrics, MetricsSnapshot, QueueWaitSummary};
 use crate::options::{Options, ReadOptions, WriteOptions};
 use crate::stats::DbStats;
 use crate::txn::{self, ShardTxnMarker, TxnWalRecord};
@@ -916,6 +916,8 @@ impl Db {
                 versions.current().live_range_tombstones(),
             )
         };
+        let tables = inner.table_cache.stats();
+        let (fd_hits, fd_misses) = inner.table_cache.fd_stats();
         MetricsSnapshot {
             db: inner.stats.snapshot(),
             io: inner.env.stats().snapshot(),
@@ -934,6 +936,12 @@ impl Db {
             events_dropped: inner.sink.dropped(),
             manifest_recuts,
             range_tombstones_live,
+            cache: CacheMetrics {
+                table_hits: tables.hits(),
+                table_misses: tables.misses(),
+                fd_hits,
+                fd_misses,
+            },
         }
     }
 
@@ -1170,7 +1178,7 @@ impl DbInner {
     /// Fetch the value a separated entry points at.
     fn resolve_pointer(&self, pointer: &[u8]) -> Result<Vec<u8>> {
         let ptr = ValuePointer::decode(pointer)?;
-        let value = vlog::read_value(&self.env, &self.name, &ptr)?;
+        let value = vlog::read_value(&self.table_cache, &self.name, &ptr)?;
         self.stats.record_vlog_resolve(1);
         Ok(value)
     }
@@ -2582,6 +2590,9 @@ impl DbInner {
                 let _ = self
                     .env
                     .delete_file(&bolt_env::join_path(&self.name, &name));
+                if let Some(FileType::ValueLog(num)) = parse_file_name(&name) {
+                    self.table_cache.evict_file(num);
+                }
             }
         }
         self.delete_logs_oldest_first(dead_logs);
@@ -3613,6 +3624,187 @@ mod tests {
         // number cannot collide with recovered ones.
         db.put(b"post-crash", &big(0)).unwrap();
         assert_eq!(db.get(b"post-crash").unwrap(), Some(big(0)));
+        db.close().unwrap();
+    }
+
+    /// A [`MemEnv`] that counts read-handle opens of value-log segments.
+    #[derive(Default)]
+    struct VlogOpenCounter {
+        inner: MemEnv,
+        opens: AtomicU64,
+    }
+
+    impl Env for VlogOpenCounter {
+        fn new_writable_file(&self, path: &str) -> Result<Box<dyn bolt_env::WritableFile>> {
+            self.inner.new_writable_file(path)
+        }
+        fn new_appendable_file(&self, path: &str) -> Result<Box<dyn bolt_env::WritableFile>> {
+            self.inner.new_appendable_file(path)
+        }
+        fn new_random_access_file(
+            &self,
+            path: &str,
+        ) -> Result<Arc<dyn bolt_env::RandomAccessFile>> {
+            if path.ends_with(".vlog") {
+                self.opens.fetch_add(1, Ordering::Relaxed);
+            }
+            self.inner.new_random_access_file(path)
+        }
+        fn file_exists(&self, path: &str) -> bool {
+            self.inner.file_exists(path)
+        }
+        fn file_size(&self, path: &str) -> Result<u64> {
+            self.inner.file_size(path)
+        }
+        fn delete_file(&self, path: &str) -> Result<()> {
+            self.inner.delete_file(path)
+        }
+        fn rename_file(&self, from: &str, to: &str) -> Result<()> {
+            self.inner.rename_file(from, to)
+        }
+        fn create_dir_all(&self, path: &str) -> Result<()> {
+            self.inner.create_dir_all(path)
+        }
+        fn list_dir(&self, dir: &str) -> Result<Vec<String>> {
+            self.inner.list_dir(dir)
+        }
+        fn punch_hole(&self, path: &str, offset: u64, len: u64) -> Result<()> {
+            self.inner.punch_hole(path, offset, len)
+        }
+        fn stats(&self) -> &bolt_env::IoStats {
+            self.inner.stats()
+        }
+    }
+
+    #[test]
+    fn vlog_reads_open_each_segment_once_with_fd_cache() {
+        for fd_cache in [true, false] {
+            let env = Arc::new(VlogOpenCounter::default());
+            let mut opts = sep_opts(128);
+            if let crate::options::CompactionStyle::Bolt(b) = &mut opts.compaction_style {
+                b.fd_cache = fd_cache;
+            }
+            let db = Db::open(Arc::clone(&env) as Arc<dyn Env>, "db", opts).unwrap();
+            for i in 0..48u32 {
+                db.put(format!("big{i:03}").as_bytes(), &big(i)).unwrap();
+            }
+            db.flush().unwrap();
+            let segments = env
+                .list_dir("db")
+                .unwrap()
+                .iter()
+                .filter(|n| n.ends_with(".vlog"))
+                .filter(|n| env.file_size(&format!("db/{n}")).unwrap() > 0)
+                .count() as u64;
+            assert!(segments >= 3, "48 KiB over 16 KiB segments");
+            let before = env.opens.load(Ordering::Relaxed);
+            for _ in 0..3 {
+                for i in 0..48u32 {
+                    let key = format!("big{i:03}");
+                    assert_eq!(db.get(key.as_bytes()).unwrap(), Some(big(i)));
+                }
+            }
+            let mut iter = db.iter().unwrap();
+            iter.seek_to_first().unwrap();
+            let mut scanned = 0u64;
+            while iter.valid() {
+                assert_eq!(iter.value().len(), 1024);
+                scanned += 1;
+                iter.next().unwrap();
+            }
+            drop(iter);
+            assert_eq!(scanned, 48);
+            let opens = env.opens.load(Ordering::Relaxed) - before;
+            if fd_cache {
+                assert_eq!(opens, segments, "each segment opened once");
+            } else {
+                assert_eq!(opens, 3 * 48 + scanned, "one open per resolve");
+            }
+            db.close().unwrap();
+        }
+    }
+
+    /// The oldest segment and the encoded pointer to its first value,
+    /// `big(0)` written as big000 into a fresh database. Resolving it
+    /// caches the segment's handle.
+    fn first_value_pointer(db: &Db) -> (u64, [u8; vlog::POINTER_SIZE]) {
+        assert_eq!(db.get(b"big000").unwrap(), Some(big(0)));
+        let segment = *db
+            .inner
+            .versions
+            .lock()
+            .vlog_segments()
+            .keys()
+            .min()
+            .unwrap();
+        let ptr = ValuePointer {
+            file_number: segment,
+            offset: 0,
+            len: 1024,
+            crc: bolt_common::crc32c::crc32c(&big(0)),
+        }
+        .encode();
+        assert_eq!(db.inner.resolve_pointer(&ptr).unwrap(), big(0));
+        (segment, ptr)
+    }
+
+    #[test]
+    fn gc_punched_range_through_cached_handle_is_corruption() {
+        let (env, db) = mem_db(sep_opts(128));
+        for i in 0..8u32 {
+            db.put(format!("big{i:03}").as_bytes(), &big(i)).unwrap();
+        }
+        db.flush().unwrap();
+        let (segment, old) = first_value_pointer(&db);
+        // Overwrite and compact: the old pointer is dropped and its range
+        // punched, while the segment stays live for big001..big007.
+        db.put(b"big000", &big(1)).unwrap();
+        db.flush().unwrap();
+        db.compact_range(b"", b"zzzz").unwrap();
+        db.inner
+            .versions
+            .lock()
+            .collect_garbage(&db.inner.table_cache);
+        let path = vlog_file("db", segment);
+        assert!(env.file_exists(&path), "segment must stay live");
+        let raw = env.new_random_access_file(&path).unwrap();
+        assert!(
+            raw.read(0, 1024).unwrap().iter().all(|&b| b == 0),
+            "not punched"
+        );
+        let (_, opens) = db.table_cache().fd_stats();
+        let err = db.inner.resolve_pointer(&old).unwrap_err();
+        assert!(matches!(err, Error::Corruption(_)), "got {err:?}");
+        assert_eq!(db.table_cache().fd_stats().1, opens, "handle was reopened");
+        assert_eq!(db.get(b"big000").unwrap(), Some(big(1)));
+        assert_eq!(db.get(b"big007").unwrap(), Some(big(7)));
+        db.close().unwrap();
+    }
+
+    #[test]
+    fn retired_segment_resolves_not_found_not_stale_bytes() {
+        let (env, db) = mem_db(sep_opts(128));
+        for i in 0..48u32 {
+            db.put(format!("big{i:03}").as_bytes(), &big(i)).unwrap();
+        }
+        db.flush().unwrap();
+        let (segment, old) = first_value_pointer(&db);
+        // Rewrite every key so the first segment is wholly dead, then let
+        // GC retire it.
+        for i in 0..48u32 {
+            db.put(format!("big{i:03}").as_bytes(), &big(i + 1))
+                .unwrap();
+        }
+        db.flush().unwrap();
+        db.compact_range(b"", b"zzzz").unwrap();
+        db.inner
+            .versions
+            .lock()
+            .collect_garbage(&db.inner.table_cache);
+        assert!(!env.file_exists(&vlog_file("db", segment)), "not retired");
+        let err = db.inner.resolve_pointer(&old).unwrap_err();
+        assert!(err.is_not_found(), "got {err:?}");
+        assert_eq!(db.get(b"big000").unwrap(), Some(big(1)));
         db.close().unwrap();
     }
 

@@ -53,7 +53,7 @@ pub use bolt_common::events::{BarrierCause, BarrierKind, EngineEvent, TraceEvent
 pub use bolt_common::metrics::{Metric, MetricValue, MetricsRegistry};
 pub use compaction::{policy_for, CompactionPolicy, CompactionTask, OutputShape};
 pub use db::{Db, DbIterator, LevelInfo, Snapshot};
-pub use metrics::{MetricsSnapshot, QueueWaitSummary};
+pub use metrics::{CacheMetrics, MetricsSnapshot, QueueWaitSummary};
 pub use options::{
     BoltOptions, CompactionPolicyKind, CompactionStyle, Options, OptionsBuilder, ReadOptions,
     WriteOptions,

@@ -33,6 +33,22 @@ pub struct QueueWaitSummary {
     pub max: u64,
 }
 
+/// The paper's cache counters (Fig 6), captured at snapshot time.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheMetrics {
+    /// TableCache lookups that found an open table.
+    pub table_hits: u64,
+    /// TableCache lookups that had to open the table (read its footer and
+    /// index).
+    pub table_misses: u64,
+    /// Physical-file reads served by a cached handle (tables and value-log
+    /// segments).
+    pub fd_hits: u64,
+    /// Physical-file opens through the environment; with the fd cache off
+    /// every table open and every value-log resolve is one.
+    pub fd_misses: u64,
+}
+
 /// A point-in-time merge of every observability source the engine has:
 /// engine counters, env I/O counters, per-level shape, queue-wait summary,
 /// and per-cause barrier counts from the trace subsystem.
@@ -64,6 +80,8 @@ pub struct MetricsSnapshot {
     /// (sum of the MANIFEST per-table counts; drops to 0 once compaction
     /// has rewritten every covered span).
     pub range_tombstones_live: u64,
+    /// TableCache and FD-cache hits and misses.
+    pub cache: CacheMetrics,
 }
 
 impl MetricsSnapshot {
@@ -179,6 +197,14 @@ impl MetricsSnapshot {
         reg.counter("bolt_events_emitted_total", &[], self.events_emitted);
         reg.counter("bolt_events_dropped_total", &[], self.events_dropped);
         reg.counter("bolt_manifest_recuts_total", &[], self.manifest_recuts);
+        let c = &self.cache;
+        for (cache, hits, misses) in [
+            ("table", c.table_hits, c.table_misses),
+            ("fd", c.fd_hits, c.fd_misses),
+        ] {
+            reg.counter("bolt_cache_hits_total", &[("cache", cache)], hits);
+            reg.counter("bolt_cache_misses_total", &[("cache", cache)], misses);
+        }
 
         // Per-policy breakdown: a database runs one policy for life (the
         // MANIFEST pins it), so the label tags this database's series and
@@ -302,6 +328,12 @@ mod tests {
             events_dropped: 0,
             manifest_recuts: 1,
             range_tombstones_live: 3,
+            cache: CacheMetrics {
+                table_hits: 7,
+                table_misses: 2,
+                fd_hits: 5,
+                fd_misses: 1,
+            },
         }
     }
 
@@ -359,6 +391,14 @@ mod tests {
             Some(&MetricValue::Gauge(3.0))
         );
         assert_eq!(
+            reg.find("bolt_cache_hits_total", &[("cache", "table")]),
+            Some(&MetricValue::Counter(7))
+        );
+        assert_eq!(
+            reg.find("bolt_cache_misses_total", &[("cache", "fd")]),
+            Some(&MetricValue::Counter(1))
+        );
+        assert_eq!(
             reg.find("bolt_policy_compactions_total", &[("policy", "leveled")]),
             Some(&MetricValue::Counter(4))
         );
@@ -377,5 +417,7 @@ mod tests {
         assert!(text.contains("bolt_barriers_per_compaction 2\n"));
         assert!(json.contains("\"cause\":\"wal_commit\""));
         assert!(text.contains("bolt_barriers_total{cause=\"wal_commit\"} 2\n"));
+        assert!(json.contains("\"cache\":\"fd\""));
+        assert!(text.contains("bolt_cache_misses_total{cache=\"table\"} 2\n"));
     }
 }

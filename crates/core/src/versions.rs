@@ -484,9 +484,10 @@ impl VersionSet {
                 dead_files.push(file_number);
                 continue;
             }
-            let punch_candidate = info.regions.iter().any(|r| {
-                !live_tables.contains(&r.table_id) && !info.punched.contains(&r.table_id)
-            });
+            let punch_candidate = info
+                .regions
+                .iter()
+                .any(|r| !live_tables.contains(&r.table_id) && !info.punched.contains(&r.table_id));
             if !punch_candidate {
                 continue;
             }
@@ -545,15 +546,17 @@ impl VersionSet {
             table_cache.evict_file(file_number);
             let _ = self.env.delete_file(&table_file(&self.db, file_number));
         }
-        self.collect_vlog_garbage();
+        self.collect_vlog_garbage(table_cache);
     }
 
     /// Reclaim committed-dead value-log space: punch queued dead ranges
     /// and delete retired segment files. Pointer liveness is not tracked
     /// per version, so both actions wait until no reader pins a version
     /// older than current — an old iterator may still resolve a pointer
-    /// that a committed compaction already dropped.
-    fn collect_vlog_garbage(&mut self) {
+    /// that a committed compaction already dropped. A retired segment's
+    /// cached read handle is evicted with the file, so a later resolve
+    /// fails with `NotFound` instead of reading the unlinked bytes.
+    fn collect_vlog_garbage(&mut self, table_cache: &TableCache) {
         let old_readers = self
             .live
             .iter()
@@ -623,6 +626,7 @@ impl VersionSet {
             let path = vlog_file(&db, segment);
             let reclaimed_bytes = env.file_size(&path).unwrap_or(0);
             if env.delete_file(&path).is_ok() || !env.file_exists(&path) {
+                table_cache.evict_file(segment);
                 if let Some(sink) = &sink {
                     sink.emit(EngineEvent::VlogRetire {
                         segment,
@@ -1378,8 +1382,12 @@ mod tests {
             .unwrap();
         vs.unpin_checkpoint(pin);
 
-        let mut ckpt =
-            VersionSet::new(Arc::clone(&env), "ckpt", InternalKeyComparator::default(), 7);
+        let mut ckpt = VersionSet::new(
+            Arc::clone(&env),
+            "ckpt",
+            InternalKeyComparator::default(),
+            7,
+        );
         ckpt.recover().unwrap();
         let seg5 = &ckpt.vlog_segments()[&5];
         assert_eq!(

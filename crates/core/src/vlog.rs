@@ -31,11 +31,10 @@
 //! zeros, which the pointer CRC rejects — a dangling pointer surfaces as
 //! [`bolt_common::Error::Corruption`], never as silent wrong data.
 
-use std::sync::Arc;
-
 use bolt_common::crc32c::crc32c;
 use bolt_common::{Error, Result};
 use bolt_env::{Env, WritableFile};
+use bolt_table::TableCache;
 
 use crate::filename::vlog_file;
 
@@ -173,9 +172,13 @@ impl VlogWriter {
 
 /// Resolve a pointer to its value bytes, verifying the CRC.
 ///
-/// Opens the segment per call; the table/fd caches do not apply to value
-/// logs (segments are few and large, and the OS page cache does the heavy
-/// lifting on real filesystems).
+/// The segment handle comes from the FD cache (BoLT §3.2.1), keyed by the
+/// segment's file number like any table file, so a segment is opened once
+/// and reused while the cache holds it; with the fd cache off every call
+/// opens the segment. A cached handle reads the active segment as it grows
+/// (the `RandomAccessFile` contract), and every path that deletes a
+/// segment evicts its handle, so a retired segment still reads as
+/// [`Error::NotFound`].
 ///
 /// # Errors
 ///
@@ -183,8 +186,8 @@ impl VlogWriter {
 /// [`Error::Corruption`] on short reads or CRC mismatch — including reads
 /// from a hole-punched (zeroed) range, which is how a dangling pointer
 /// surfaces.
-pub fn read_value(env: &Arc<dyn Env>, db: &str, ptr: &ValuePointer) -> Result<Vec<u8>> {
-    let file = env.new_random_access_file(&vlog_file(db, ptr.file_number))?;
+pub fn read_value(cache: &TableCache, db: &str, ptr: &ValuePointer) -> Result<Vec<u8>> {
+    let file = cache.open_file(ptr.file_number, &vlog_file(db, ptr.file_number))?;
     let data = file.read(ptr.offset, ptr.len as usize)?;
     if data.len() != ptr.len as usize {
         return Err(Error::corruption(format!(
@@ -206,11 +209,25 @@ pub fn read_value(env: &Arc<dyn Env>, db: &str, ptr: &ValuePointer) -> Result<Ve
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use bolt_env::MemEnv;
+    use bolt_table::{InternalKeyComparator, TableReadOptions};
 
     fn mem() -> Arc<dyn Env> {
         Arc::new(MemEnv::new())
+    }
+
+    /// A cache over `env` with the fd cache on.
+    fn cache(env: &Arc<dyn Env>) -> TableCache {
+        let opts = TableReadOptions {
+            comparator: Arc::new(InternalKeyComparator::default()),
+            filter_policy: None,
+            filter_key: bolt_table::FilterKey::UserKey,
+            block_cache: None,
+        };
+        TableCache::new(Arc::clone(env), 16, Some(16), opts)
     }
 
     #[test]
@@ -238,8 +255,9 @@ mod tests {
         assert_eq!(w.written(), 12000);
         assert_eq!(a.offset, 0);
         assert_eq!(b.offset, 5000);
-        assert_eq!(read_value(&env, "db", &a).unwrap(), vec![b'a'; 5000]);
-        assert_eq!(read_value(&env, "db", &b).unwrap(), vec![b'b'; 7000]);
+        let cache = cache(&env);
+        assert_eq!(read_value(&cache, "db", &a).unwrap(), vec![b'a'; 5000]);
+        assert_eq!(read_value(&cache, "db", &b).unwrap(), vec![b'b'; 7000]);
     }
 
     #[test]
@@ -251,7 +269,7 @@ mod tests {
         w.barrier(false).unwrap();
         drop(w);
         env.punch_hole(&vlog_file("db", 9), 0, 8192).unwrap();
-        let err = read_value(&env, "db", &ptr).unwrap_err();
+        let err = read_value(&cache(&env), "db", &ptr).unwrap_err();
         assert!(matches!(err, Error::Corruption(_)), "got {err:?}");
     }
 
@@ -265,6 +283,8 @@ mod tests {
             len: 10,
             crc: 0,
         };
-        assert!(read_value(&env, "db", &ptr).unwrap_err().is_not_found());
+        assert!(read_value(&cache(&env), "db", &ptr)
+            .unwrap_err()
+            .is_not_found());
     }
 }

@@ -132,9 +132,14 @@ pub trait WritableFile: Send {
 }
 
 /// A read-only file handle supporting positional reads from many threads.
+///
+/// A handle is a view of the live file, not a snapshot taken at open:
+/// bytes appended after the handle was opened are readable through it, up
+/// to the file's current end. Cached handles (the FD cache) rely on this to
+/// read a value-log segment that is still growing.
 pub trait RandomAccessFile: Send + Sync {
     /// Read up to `len` bytes starting at `offset`; short reads happen only
-    /// at end-of-file.
+    /// at the file's current end.
     ///
     /// # Errors
     ///
@@ -142,7 +147,7 @@ pub trait RandomAccessFile: Send + Sync {
     /// underlying store fails.
     fn read(&self, offset: u64, len: usize) -> Result<Vec<u8>>;
 
-    /// Total file length in bytes.
+    /// Current file length in bytes, including appends made after open.
     fn len(&self) -> u64;
 
     /// `true` when the file is empty.
@@ -415,6 +420,33 @@ mod tests {
         let snap = env.stats().snapshot();
         assert!(snap.fsync_calls >= 4);
         assert!(snap.bytes_written >= 12 + 8192);
+    }
+
+    /// A handle opened before an append reads the appended bytes (the
+    /// [`RandomAccessFile`] contract the FD cache depends on).
+    fn handle_reads_later_appends(env: &dyn Env) {
+        env.create_dir_all("db").unwrap();
+        let mut f = env.new_writable_file("db/grow").unwrap();
+        f.append(b"head").unwrap();
+        f.sync().unwrap();
+        let r = env.new_random_access_file("db/grow").unwrap();
+        assert_eq!(r.len(), 4);
+        f.append(b"tail").unwrap();
+        f.sync().unwrap();
+        assert_eq!(r.len(), 8);
+        assert_eq!(r.read(4, 4).unwrap(), b"tail");
+        assert_eq!(r.read(0, 100).unwrap(), b"headtail");
+        assert!(r.read(9, 1).is_err());
+    }
+
+    #[test]
+    fn open_handle_reads_later_appends() {
+        handle_reads_later_appends(&MemEnv::new());
+        let dir = std::env::temp_dir().join(format!("bolt-env-grow-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        handle_reads_later_appends(&RealEnv::new(dir.to_str().unwrap()));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

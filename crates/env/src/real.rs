@@ -75,21 +75,23 @@ impl WritableFile for RealWritableFile {
     }
 }
 
+// No length is cached at open: the handle must see later appends (the
+// `RandomAccessFile` contract), so every read clamps to the inode's
+// current length, which also bounds the buffer a corrupt handle asks for.
 struct RealRandomAccessFile {
     file: File,
-    len: u64,
     stats: Arc<IoStats>,
 }
 
 impl RandomAccessFile for RealRandomAccessFile {
     fn read(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
-        if offset > self.len {
+        let end = self.file.metadata()?.len();
+        if offset > end {
             return Err(Error::io(format!(
-                "read offset {offset} beyond end of file ({})",
-                self.len
+                "read offset {offset} beyond end of file ({end})"
             )));
         }
-        let want = len.min((self.len - offset) as usize);
+        let want = len.min((end - offset) as usize);
         let mut buf = vec![0u8; want];
         #[cfg(unix)]
         {
@@ -124,7 +126,7 @@ impl RandomAccessFile for RealRandomAccessFile {
     }
 
     fn len(&self) -> u64 {
-        self.len
+        self.file.metadata().map_or(0, |m| m.len())
     }
 }
 
@@ -159,10 +161,8 @@ impl Env for RealEnv {
 
     fn new_random_access_file(&self, path: &str) -> Result<Arc<dyn RandomAccessFile>> {
         let file = File::open(self.resolve(path))?;
-        let len = file.metadata()?.len();
         Ok(Arc::new(RealRandomAccessFile {
             file,
-            len,
             stats: Arc::clone(&self.stats),
         }))
     }

@@ -736,12 +736,25 @@ mod tests {
             db.put(format!("m{i:04}").as_bytes(), &[0u8; 64]).unwrap();
         }
         db.flush().unwrap();
+        for i in 0..200u32 {
+            db.get(format!("m{i:04}").as_bytes()).unwrap();
+        }
         let m = db.metrics();
         assert_eq!(m.per_shard.len(), 2);
         assert_eq!(
             m.aggregate.db.user_bytes_written,
             m.per_shard[0].db.user_bytes_written + m.per_shard[1].db.user_bytes_written
         );
+        // Each shard has its own TableCache: cache counters sum.
+        let (c0, c1) = (m.per_shard[0].cache, m.per_shard[1].cache);
+        assert!(c0.table_hits > 0 && c1.table_hits > 0, "{c0:?} {c1:?}");
+        assert_eq!(m.aggregate.cache.table_hits, c0.table_hits + c1.table_hits);
+        assert_eq!(
+            m.aggregate.cache.table_misses,
+            c0.table_misses + c1.table_misses
+        );
+        assert_eq!(m.aggregate.cache.fd_hits, c0.fd_hits + c1.fd_hits);
+        assert_eq!(m.aggregate.cache.fd_misses, c0.fd_misses + c1.fd_misses);
         // Shared env: the global I/O snapshot is taken once, not doubled.
         assert_eq!(m.aggregate.io.fsync_calls, m.per_shard[0].io.fsync_calls);
         let text = m.to_prometheus_text();

@@ -95,6 +95,12 @@ pub(crate) fn aggregate(per_shard: &[MetricsSnapshot], env_owner: &[bool]) -> Me
         agg.events_emitted += m.events_emitted;
         agg.events_dropped += m.events_dropped;
         agg.manifest_recuts += m.manifest_recuts;
+        // Every shard owns its TableCache, so cache counters always sum.
+        let c = &mut agg.cache;
+        c.table_hits += m.cache.table_hits;
+        c.table_misses += m.cache.table_misses;
+        c.fd_hits += m.cache.fd_hits;
+        c.fd_misses += m.cache.fd_misses;
         // Every shard shares one Options, hence one compaction policy.
         agg.policy = m.policy;
     }

@@ -6,6 +6,11 @@
 //! BoLT additionally caches file handles **per compaction file** (§3.2.1):
 //! one physical file hosts many logical SSTables, so a small fd cache
 //! eliminates most filesystem metadata lookups.
+//!
+//! [`TableCache::open_file`] is the one way the engine opens a physical
+//! file for reading, for tables and value-log segments alike. Handles are
+//! keyed by file number, which is sound because every file kind draws its
+//! number from the same MANIFEST counter and numbers are never reused.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -43,6 +48,7 @@ pub struct TableCache {
     fds: Option<LruCache<u64, FdEntry>>,
     opts: TableReadOptions,
     open_count: AtomicU64,
+    file_opens: AtomicU64,
 }
 
 impl std::fmt::Debug for TableCache {
@@ -70,20 +76,29 @@ impl TableCache {
             fds: fd_cache_capacity.map(LruCache::new),
             opts,
             open_count: AtomicU64::new(0),
+            file_opens: AtomicU64::new(0),
         }
     }
 
-    fn open_file(&self, spec: &TableSpec) -> Result<Arc<dyn RandomAccessFile>> {
-        if let Some(fds) = &self.fds {
-            if let Some(entry) = fds.get(&spec.file_number) {
-                return Ok(Arc::clone(&entry.0));
-            }
-            let file = self.env.new_random_access_file(&spec.path)?;
-            fds.insert(spec.file_number, Arc::new(FdEntry(Arc::clone(&file))), 1);
-            Ok(file)
-        } else {
-            self.env.new_random_access_file(&spec.path)
+    /// A read handle on physical file `file_number` at `path`: the cached
+    /// one when the fd cache holds it, else a fresh open (cached when the
+    /// fd cache is on). Whoever deletes the file must call
+    /// [`TableCache::evict_file`] so no cached handle outlives it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`bolt_common::Error::NotFound`] if the file does not exist,
+    /// or another I/O error from the environment.
+    pub fn open_file(&self, file_number: u64, path: &str) -> Result<Arc<dyn RandomAccessFile>> {
+        if let Some(entry) = self.fds.as_ref().and_then(|fds| fds.get(&file_number)) {
+            return Ok(Arc::clone(&entry.0));
         }
+        self.file_opens.fetch_add(1, Ordering::Relaxed);
+        let file = self.env.new_random_access_file(path)?;
+        if let Some(fds) = &self.fds {
+            fds.insert(file_number, Arc::new(FdEntry(Arc::clone(&file))), 1);
+        }
+        Ok(file)
     }
 
     /// Fetch (or open and cache) the table described by `spec`.
@@ -96,7 +111,7 @@ impl TableCache {
             return Ok(table);
         }
         self.open_count.fetch_add(1, Ordering::Relaxed);
-        let file = self.open_file(spec)?;
+        let file = self.open_file(spec.file_number, &spec.path)?;
         let table = Arc::new(Table::open(
             file,
             spec.offset,
@@ -128,6 +143,14 @@ impl TableCache {
     /// Hit/miss counters of the table slot cache.
     pub fn stats(&self) -> &bolt_common::cache::CacheStats {
         self.tables.stats()
+    }
+
+    /// Physical-file handle counters: `(hits, misses)`, where a hit reuses
+    /// a cached handle and a miss is an open through the environment. With
+    /// the fd cache off every [`TableCache::open_file`] call is a miss.
+    pub fn fd_stats(&self) -> (u64, u64) {
+        let hits = self.fds.as_ref().map_or(0, |fds| fds.stats().hits());
+        (hits, self.file_opens.load(Ordering::Relaxed))
     }
 }
 
@@ -250,5 +273,31 @@ mod tests {
             .unwrap()
             .is_some());
         cache.evict_file(7); // must not panic; handle drops when tables do
+    }
+
+    #[test]
+    fn open_file_reuses_handles_until_evicted() {
+        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+        let mut file = env.new_writable_file("000009.vlog").unwrap();
+        file.append(b"value").unwrap();
+        drop(file);
+
+        let cached = TableCache::new(Arc::clone(&env), 100, Some(10), opts());
+        let a = cached.open_file(9, "000009.vlog").unwrap();
+        let b = cached.open_file(9, "000009.vlog").unwrap();
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(cached.fd_stats(), (1, 1));
+        cached.evict_file(9);
+        env.delete_file("000009.vlog").unwrap();
+        assert!(matches!(
+            cached.open_file(9, "000009.vlog"),
+            Err(e) if e.is_not_found()
+        ));
+        assert_eq!(cached.fd_stats(), (1, 2));
+
+        let uncached = TableCache::new(Arc::clone(&env), 100, None, opts());
+        assert!(uncached.open_file(9, "000009.vlog").is_err());
+        assert!(uncached.open_file(9, "000009.vlog").is_err());
+        assert_eq!(uncached.fd_stats(), (0, 2));
     }
 }

@@ -141,6 +141,13 @@ fn render_metrics_text(metrics: &MetricsSnapshot) -> String {
     )
     .expect("write");
     writeln!(out, "  manifest re-cuts {}", metrics.manifest_recuts).expect("write");
+    let c = &metrics.cache;
+    writeln!(
+        out,
+        "  table cache {} hits / {} misses | fd cache {} hits / {} opens",
+        c.table_hits, c.table_misses, c.fd_hits, c.fd_misses
+    )
+    .expect("write");
     if s.range_deletes > 0 || s.checkpoints > 0 || metrics.range_tombstones_live > 0 {
         writeln!(
             out,
@@ -881,7 +888,12 @@ fn stale() {
         assert!(prom.contains("bolt_manifest_recuts_total"), "{prom}");
         assert!(prom.contains("bolt_checkpoints_total"), "{prom}");
         assert!(prom.contains("bolt_range_tombstones_live"), "{prom}");
+        assert!(
+            prom.contains("bolt_cache_misses_total{cache=\"fd\"}"),
+            "{prom}"
+        );
         assert!(text.contains("manifest re-cuts"), "{text}");
+        assert!(text.contains("fd cache"), "{text}");
     }
 
     #[test]

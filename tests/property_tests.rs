@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use bolt::{Db, Options};
+use bolt::{CompactionStyle, Db, Options};
 use bolt_env::{CrashConfig, Env, MemEnv};
 
 /// An operation in a generated workload.
@@ -152,14 +152,21 @@ proptest! {
     /// key-value separation enabled and one without, fed the same op
     /// sequence, match the model and produce byte-identical full scans.
     /// Tiny segments force rotation and compaction-driven GC mid-run.
+    /// Segment handles come from the fd cache when `fd_cache` is on (so a
+    /// cached handle reads a growing, punched, or retired segment) and are
+    /// opened per read when it is off.
     #[test]
     fn value_separation_is_read_transparent(
         ops in proptest::collection::vec(large_value_op_strategy(), 1..300),
+        fd_cache in any::<bool>(),
     ) {
         let mut scans: Vec<Vec<(Vec<u8>, Vec<u8>)>> = Vec::new();
         for threshold in [None, Some(48)] {
             let env: Arc<dyn Env> = Arc::new(MemEnv::new());
             let mut opts = Options::bolt().scaled(1.0 / 512.0);
+            if let CompactionStyle::Bolt(b) = &mut opts.compaction_style {
+                b.fd_cache = fd_cache;
+            }
             opts.value_separation_threshold = threshold;
             opts.vlog_segment_bytes = 4 << 10;
             let db = Db::open(Arc::clone(&env), "db", opts).unwrap();
