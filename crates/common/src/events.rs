@@ -38,6 +38,9 @@ pub enum BarrierCause {
     /// Re-cutting a fresh MANIFEST after a failed commit barrier (the
     /// self-healing path: snapshot write + re-appended edit sync).
     ManifestRecut,
+    /// Rolling an outgrown MANIFEST: the fresh file's snapshot sync (the
+    /// CURRENT swing that follows is `current_pointer`).
+    ManifestRoll,
     /// Value-log segment barrier paid before the WAL record carrying its
     /// pointers (WAL-time key-value separation).
     VlogData,
@@ -50,7 +53,7 @@ pub enum BarrierCause {
 
 impl BarrierCause {
     /// Every cause, in stable order (used by exporters and counters).
-    pub const ALL: [BarrierCause; 12] = [
+    pub const ALL: [BarrierCause; 13] = [
         BarrierCause::WalCommit,
         BarrierCause::WalClose,
         BarrierCause::FlushData,
@@ -60,6 +63,7 @@ impl BarrierCause {
         BarrierCause::OpenManifest,
         BarrierCause::CurrentPointer,
         BarrierCause::ManifestRecut,
+        BarrierCause::ManifestRoll,
         BarrierCause::VlogData,
         BarrierCause::Checkpoint,
         BarrierCause::Unattributed,
@@ -77,6 +81,7 @@ impl BarrierCause {
             BarrierCause::OpenManifest => "open_manifest",
             BarrierCause::CurrentPointer => "current_pointer",
             BarrierCause::ManifestRecut => "manifest_recut",
+            BarrierCause::ManifestRoll => "manifest_roll",
             BarrierCause::VlogData => "vlog_data",
             BarrierCause::Checkpoint => "checkpoint",
             BarrierCause::Unattributed => "unattributed",
@@ -268,6 +273,19 @@ pub enum EngineEvent {
         /// Live tables captured in the fresh MANIFEST's snapshot record.
         snapshot_tables: u64,
     },
+    /// The live MANIFEST outgrew its roll bound and was replaced: a fresh
+    /// one was cut from a snapshot of the version just committed, CURRENT
+    /// was durably swung to it, and the old file was queued for deletion.
+    ManifestRoll {
+        /// File number of the outgrown MANIFEST.
+        old_manifest: u64,
+        /// File number of the fresh MANIFEST now named by CURRENT.
+        new_manifest: u64,
+        /// Size of the outgrown MANIFEST.
+        old_bytes: u64,
+        /// Size of the fresh MANIFEST (its snapshot record).
+        snapshot_bytes: u64,
+    },
     /// The device saw a barrier. Emitted from the env's I/O accounting choke
     /// point, so *every* barrier in the process appears here exactly once.
     Barrier {
@@ -340,6 +358,7 @@ impl EngineEvent {
             EngineEvent::WalRotate { .. } => "wal_rotate",
             EngineEvent::ManifestCommit { .. } => "manifest_commit",
             EngineEvent::ManifestRecut { .. } => "manifest_recut",
+            EngineEvent::ManifestRoll { .. } => "manifest_roll",
             EngineEvent::Barrier { .. } => "barrier",
             EngineEvent::HolePunch { .. } => "hole_punch",
             EngineEvent::VlogRotate { .. } => "vlog_rotate",
@@ -411,6 +430,14 @@ impl EngineEvent {
                 snapshot_tables,
             } => format!(
                 "MANIFEST re-cut ({abandoned:06} -> {new_manifest:06}, {snapshot_tables} tables snapshotted)"
+            ),
+            EngineEvent::ManifestRoll {
+                old_manifest,
+                new_manifest,
+                old_bytes,
+                snapshot_bytes,
+            } => format!(
+                "MANIFEST rolled ({old_manifest:06} -> {new_manifest:06}, {old_bytes} B -> {snapshot_bytes} B snapshot)"
             ),
             EngineEvent::Barrier { cause, kind } => {
                 format!("barrier [{}] cause={}", kind.as_str(), cause.as_str())
@@ -544,6 +571,17 @@ impl TraceEvent {
                 let _ = write!(
                     s,
                     ",\"abandoned\":{abandoned},\"new_manifest\":{new_manifest},\"snapshot_tables\":{snapshot_tables}"
+                );
+            }
+            EngineEvent::ManifestRoll {
+                old_manifest,
+                new_manifest,
+                old_bytes,
+                snapshot_bytes,
+            } => {
+                let _ = write!(
+                    s,
+                    ",\"old_manifest\":{old_manifest},\"new_manifest\":{new_manifest},\"old_bytes\":{old_bytes},\"snapshot_bytes\":{snapshot_bytes}"
                 );
             }
             EngineEvent::Barrier { cause, kind } => {

@@ -37,7 +37,7 @@ use crate::compaction::{
     DropFilter, OutputShape,
 };
 use crate::filename::{current_file, log_file, parse_file_name, table_file, vlog_file, FileType};
-use crate::iterator::{DbIter, InternalIterator, MergingIter, RunIter, ValueResolver};
+use crate::iterator::{DbIter, InternalIterator, MergingIter, RunIter, UpTo, ValueResolver};
 use crate::memtable::{LookupResult, MemTable};
 use crate::metrics::{CacheMetrics, MetricsSnapshot, QueueWaitSummary};
 use crate::options::{Options, ReadOptions, WriteOptions};
@@ -222,7 +222,7 @@ struct DbInner {
     l0_runs: AtomicUsize,
     has_imm: AtomicBool,
     shutdown: AtomicBool,
-    stats: DbStats,
+    stats: Arc<DbStats>,
     /// Structured-event destination, shared with the env's `IoStats` (which
     /// emits every barrier into it) and the version set (MANIFEST commits).
     sink: Arc<EventSink>,
@@ -421,7 +421,7 @@ impl Db {
             l0_runs: AtomicUsize::new(0),
             has_imm: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
-            stats: DbStats::default(),
+            stats: Arc::new(DbStats::default()),
             sink,
             flush_ids: AtomicU64::new(0),
             compaction_ids: AtomicU64::new(0),
@@ -909,13 +909,14 @@ impl Db {
     pub fn metrics(&self) -> MetricsSnapshot {
         let inner = &self.inner;
         let qw = inner.stats.queue_wait();
-        let (manifest_recuts, range_tombstones_live) = {
-            let versions = inner.versions.lock();
-            (
-                versions.manifest_recuts(),
-                versions.current().live_range_tombstones(),
-            )
-        };
+        let versions = inner.versions.lock();
+        let manifest_recuts = versions.manifest_recuts();
+        let manifest_rolls = versions.manifest_rolls();
+        let manifest_roll_failures = versions.manifest_roll_failures();
+        let manifest_bytes = versions.manifest_bytes();
+        let manifest_roll_bound = versions.manifest_roll_bound();
+        let range_tombstones_live = versions.current().live_range_tombstones();
+        drop(versions);
         let tables = inner.table_cache.stats();
         let (fd_hits, fd_misses) = inner.table_cache.fd_stats();
         MetricsSnapshot {
@@ -935,6 +936,10 @@ impl Db {
             events_emitted: inner.sink.emitted(),
             events_dropped: inner.sink.dropped(),
             manifest_recuts,
+            manifest_rolls,
+            manifest_roll_failures,
+            manifest_bytes,
+            manifest_roll_bound,
             range_tombstones_live,
             cache: CacheMetrics {
                 table_hits: tables.hits(),
@@ -2048,21 +2053,35 @@ impl DbInner {
                         )?;
                     }
                     OutputShape::Leveled => {
+                        // One merge over whole runs, cut at cluster
+                        // boundaries: each run's victims are read span by
+                        // span across clusters, never one table at a time.
+                        let mut children: Vec<Box<dyn InternalIterator>> = task
+                            .input_runs
+                            .iter()
+                            .filter(|r| !r.is_empty())
+                            .map(|r| self.run_iter(r.clone()))
+                            .collect();
+                        if !task.next_inputs.is_empty() {
+                            children.push(self.run_iter(task.next_inputs.clone()));
+                        }
+                        let mut merged = MergingIter::new(self.icmp.clone(), children);
+                        merged.seek_to_first()?;
                         for cluster in clusters(&self.icmp, &task) {
-                            let mut children: Vec<Box<dyn InternalIterator>> = cluster
+                            let ucmp = self.icmp.user_comparator();
+                            let Some(upper) = cluster
                                 .input_runs
                                 .iter()
-                                .filter(|r| !r.is_empty())
-                                .map(|r| self.run_iter(r.clone()))
-                                .collect();
-                            if !cluster.next_inputs.is_empty() {
-                                children.push(self.run_iter(cluster.next_inputs.clone()));
-                            }
-                            let mut merged = MergingIter::new(self.icmp.clone(), children);
-                            merged.seek_to_first()?;
+                                .flatten()
+                                .chain(&cluster.next_inputs)
+                                .map(|t| t.largest_user_key())
+                                .max_by(|a, b| ucmp.compare(a, b))
+                            else {
+                                continue;
+                            };
                             let mut filter = DropFilter::new(smallest_snapshot);
                             sink.write_run(
-                                &mut merged,
+                                &mut UpTo::new(&mut merged, &self.icmp, upper),
                                 Some(&mut filter),
                                 &overlay,
                                 &DropScope {
@@ -2072,6 +2091,13 @@ impl DbInner {
                                     include_output_level: false,
                                 },
                             )?;
+                        }
+                        // Clusters partition the inputs' key space; an
+                        // entry past the last one would be silently lost.
+                        if merged.valid() {
+                            return Err(Error::InvalidState(
+                                "compaction input left past its last cluster".into(),
+                            ));
                         }
                     }
                 }
@@ -2266,12 +2292,15 @@ impl DbInner {
         })
     }
 
+    /// A compaction input iterator over one run's victims: span reads,
+    /// no cache traffic (see [`RunIter::for_compaction`]).
     fn run_iter(&self, tables: Vec<Arc<TableMeta>>) -> Box<dyn InternalIterator> {
-        Box::new(RunIter::new(
+        Box::new(RunIter::for_compaction(
             self.icmp.clone(),
             Arc::clone(&self.table_cache),
             self.name.clone(),
             tables,
+            Arc::clone(&self.stats),
         ))
     }
 
@@ -2926,6 +2955,7 @@ fn is_base_level_span(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testenv::RecordingEnv;
     use bolt_env::MemEnv;
 
     fn mem_db(opts: Options) -> (Arc<MemEnv>, Db) {
@@ -3627,59 +3657,10 @@ mod tests {
         db.close().unwrap();
     }
 
-    /// A [`MemEnv`] that counts read-handle opens of value-log segments.
-    #[derive(Default)]
-    struct VlogOpenCounter {
-        inner: MemEnv,
-        opens: AtomicU64,
-    }
-
-    impl Env for VlogOpenCounter {
-        fn new_writable_file(&self, path: &str) -> Result<Box<dyn bolt_env::WritableFile>> {
-            self.inner.new_writable_file(path)
-        }
-        fn new_appendable_file(&self, path: &str) -> Result<Box<dyn bolt_env::WritableFile>> {
-            self.inner.new_appendable_file(path)
-        }
-        fn new_random_access_file(
-            &self,
-            path: &str,
-        ) -> Result<Arc<dyn bolt_env::RandomAccessFile>> {
-            if path.ends_with(".vlog") {
-                self.opens.fetch_add(1, Ordering::Relaxed);
-            }
-            self.inner.new_random_access_file(path)
-        }
-        fn file_exists(&self, path: &str) -> bool {
-            self.inner.file_exists(path)
-        }
-        fn file_size(&self, path: &str) -> Result<u64> {
-            self.inner.file_size(path)
-        }
-        fn delete_file(&self, path: &str) -> Result<()> {
-            self.inner.delete_file(path)
-        }
-        fn rename_file(&self, from: &str, to: &str) -> Result<()> {
-            self.inner.rename_file(from, to)
-        }
-        fn create_dir_all(&self, path: &str) -> Result<()> {
-            self.inner.create_dir_all(path)
-        }
-        fn list_dir(&self, dir: &str) -> Result<Vec<String>> {
-            self.inner.list_dir(dir)
-        }
-        fn punch_hole(&self, path: &str, offset: u64, len: u64) -> Result<()> {
-            self.inner.punch_hole(path, offset, len)
-        }
-        fn stats(&self) -> &bolt_env::IoStats {
-            self.inner.stats()
-        }
-    }
-
     #[test]
     fn vlog_reads_open_each_segment_once_with_fd_cache() {
         for fd_cache in [true, false] {
-            let env = Arc::new(VlogOpenCounter::default());
+            let env = Arc::new(RecordingEnv::default());
             let mut opts = sep_opts(128);
             if let crate::options::CompactionStyle::Bolt(b) = &mut opts.compaction_style {
                 b.fd_cache = fd_cache;
@@ -3697,7 +3678,7 @@ mod tests {
                 .filter(|n| env.file_size(&format!("db/{n}")).unwrap() > 0)
                 .count() as u64;
             assert!(segments >= 3, "48 KiB over 16 KiB segments");
-            let before = env.opens.load(Ordering::Relaxed);
+            let before = env.opens(".vlog");
             for _ in 0..3 {
                 for i in 0..48u32 {
                     let key = format!("big{i:03}");
@@ -3714,7 +3695,7 @@ mod tests {
             }
             drop(iter);
             assert_eq!(scanned, 48);
-            let opens = env.opens.load(Ordering::Relaxed) - before;
+            let opens = env.opens(".vlog") - before;
             if fd_cache {
                 assert_eq!(opens, segments, "each segment opened once");
             } else {
@@ -3847,6 +3828,194 @@ mod tests {
         let vlogs = names.iter().filter(|n| n.ends_with(".vlog")).count();
         let ledger = db.inner.versions.lock().vlog_segments().len();
         assert_eq!(vlogs, ledger, "on-disk segments diverge from the ledger");
+        db.close().unwrap();
+    }
+
+    /// `small_opts(Options::bolt())` on a recording env, holding one
+    /// flushed L0 table of 500 keys.
+    fn flushed_bolt_db() -> (Arc<RecordingEnv>, Db) {
+        let env = Arc::new(RecordingEnv::default());
+        let db = Db::open(
+            Arc::clone(&env) as Arc<dyn Env>,
+            "db",
+            small_opts(Options::bolt()),
+        )
+        .unwrap();
+        for i in 0..500u32 {
+            db.put(format!("key{i:05}").as_bytes(), &[b'x'; 100])
+                .unwrap();
+        }
+        db.flush().unwrap();
+        db.compact_until_quiet().unwrap();
+        (env, db)
+    }
+
+    #[test]
+    fn compaction_reads_each_span_once_and_bypasses_the_caches() {
+        let (env, db) = flushed_bolt_db();
+        let _ = db.events();
+        let before = db.stats().snapshot();
+        let tables = db.table_cache();
+        let table_counters =
+            |c: &TableCache| (c.open_count(), c.stats().hits(), c.stats().misses());
+        let table_before = table_counters(tables);
+        let blocks = &db.inner.block_cache;
+        let block_before = (
+            blocks.usage(),
+            blocks.stats().hits(),
+            blocks.stats().misses(),
+        );
+        env.clear_reads();
+
+        // Push everything to the last level: after the first step, every
+        // step's victims are the previous step's adjacent outputs.
+        db.compact_range(b"key", b"kez").unwrap();
+
+        let after = db.stats().snapshot();
+        let victims: u64 = db
+            .events()
+            .iter()
+            .filter_map(|e| match e.event {
+                EngineEvent::CompactionBegin { victims, .. } => Some(victims),
+                _ => None,
+            })
+            .sum();
+        let spans = after.compaction_spans - before.compaction_spans;
+        let reads = env.reads(".sst");
+        assert!(
+            spans >= 2,
+            "expected several rewrite steps, got {spans} spans"
+        );
+        assert!(
+            victims >= 3 * spans,
+            "{victims} victims should coalesce into far fewer than {spans} x 3 spans"
+        );
+        assert_eq!(reads.len() as u64, spans, "one read per span: {reads:?}");
+        assert_eq!(after.compaction_reads - before.compaction_reads, spans);
+        let read_bytes: u64 = reads.iter().map(|&(_, _, len)| len).sum();
+        assert_eq!(
+            read_bytes,
+            after.compaction_read_bytes - before.compaction_read_bytes
+        );
+        assert_eq!(
+            read_bytes,
+            after.compaction_input_bytes - before.compaction_input_bytes,
+            "every victim byte read exactly once"
+        );
+        // Neither cache saw the victims.
+        assert_eq!(table_counters(tables), table_before);
+        assert_eq!(
+            (
+                blocks.usage(),
+                blocks.stats().hits(),
+                blocks.stats().misses()
+            ),
+            block_before
+        );
+        for i in (0..500u32).step_by(7) {
+            assert_eq!(
+                db.get(format!("key{i:05}").as_bytes()).unwrap(),
+                Some(vec![b'x'; 100])
+            );
+        }
+        db.close().unwrap();
+    }
+
+    #[test]
+    fn corrupt_victim_block_fails_compaction_and_installs_nothing() {
+        let (env, db) = flushed_bolt_db();
+        let version = db.current_version();
+        let victim = version.levels[0].runs[0].tables[0].clone();
+        let ids =
+            |v: &Version| -> Vec<u64> { v.all_tables().map(|(_, _, t)| t.table_id).collect() };
+        let before = ids(&version);
+        let files = |env: &RecordingEnv| {
+            let mut names = env.list_dir("db").unwrap();
+            names.retain(|n| n.ends_with(".sst"));
+            names
+        };
+        let files_before = files(&env);
+
+        // A byte inside the victim's first data block reads back flipped.
+        env.flip_byte(Some((
+            &table_file("db", victim.file_number),
+            victim.offset + 16,
+        )));
+        let err = db.compact_range(b"key", b"kez").unwrap_err();
+        assert!(err.is_corruption(), "{err}");
+        assert_eq!(ids(&db.current_version()), before, "nothing installed");
+        assert_eq!(files(&env), files_before, "partial outputs reclaimed");
+        let _ = db.close();
+        drop(db);
+
+        env.flip_byte(None);
+        let db = Db::open(
+            Arc::clone(&env) as Arc<dyn Env>,
+            "db",
+            small_opts(Options::bolt()),
+        )
+        .unwrap();
+        for i in 0..500u32 {
+            assert_eq!(
+                db.get(format!("key{i:05}").as_bytes()).unwrap(),
+                Some(vec![b'x'; 100]),
+                "key{i:05}"
+            );
+        }
+        db.close().unwrap();
+    }
+
+    #[test]
+    fn manifest_stays_within_its_roll_bound_across_compactions() {
+        let (env, db) = mem_db(small_opts(Options::bolt()));
+        // Long keys make every flush and compaction edit large, while
+        // compaction keeps the live snapshot to a few tables.
+        let long_key = |i: u32| format!("{i}{}", "k".repeat(2048));
+        for round in 0..200u32 {
+            for i in 0..4 {
+                db.put(long_key(i).as_bytes(), format!("v{round}").as_bytes())
+                    .unwrap();
+            }
+            db.flush().unwrap();
+            db.compact_until_quiet().unwrap();
+            let m = db.metrics();
+            assert!(
+                m.manifest_bytes <= m.manifest_roll_bound,
+                "round {round}: live MANIFEST {} B past its bound {} B",
+                m.manifest_bytes,
+                m.manifest_roll_bound
+            );
+        }
+        let m = db.metrics();
+        assert!(m.manifest_rolls >= 2, "rolls: {}", m.manifest_rolls);
+        assert_eq!(m.manifest_roll_failures, 0);
+        let manifests = |env: &MemEnv| {
+            let names = env.list_dir("db").unwrap();
+            names.iter().filter(|n| n.starts_with("MANIFEST-")).count()
+        };
+        assert_eq!(manifests(&env), 1, "every outgrown MANIFEST was deleted");
+        let scan = |db: &Db| {
+            let mut iter = db.iter().unwrap();
+            iter.seek_to_first().unwrap();
+            let mut out = Vec::new();
+            while iter.valid() {
+                out.push((iter.key().to_vec(), iter.value().to_vec()));
+                iter.next().unwrap();
+            }
+            out
+        };
+        let live = scan(&db);
+        assert_eq!(live.len(), 4);
+        assert!(live.iter().all(|(_, v)| v == b"v199"));
+        db.close().unwrap();
+        drop(db);
+        let db = Db::open(
+            Arc::clone(&env) as Arc<dyn Env>,
+            "db",
+            small_opts(Options::bolt()),
+        )
+        .unwrap();
+        assert_eq!(scan(&db), live, "reopen yields an identical key space");
         db.close().unwrap();
     }
 }

@@ -8,14 +8,18 @@
 use std::sync::Arc;
 
 use bolt_common::{Error, Result};
+use bolt_env::RandomAccessFile;
 use bolt_table::cache::TableCache;
 #[allow(unused_imports)]
 use bolt_table::comparator::Comparator;
 use bolt_table::comparator::InternalKeyComparator;
-use bolt_table::ikey::{lookup_key, parse_internal_key, SequenceNumber, ValueType};
+use bolt_table::ikey::{
+    extract_user_key, lookup_key, parse_internal_key, SequenceNumber, ValueType,
+};
 use bolt_table::rangedel::RangeTombstoneSet;
 
 use crate::memtable::MemTableIter;
+use crate::stats::DbStats;
 use crate::version::TableMeta;
 
 /// A cursor over internal-key entries in sorted order.
@@ -91,13 +95,73 @@ impl InternalIterator for bolt_table::TableIter {
     }
 }
 
+/// Largest compaction input read: adjacent victims of one run coalesce
+/// into one read up to this many bytes. A single table larger than this
+/// is still read whole.
+pub const COMPACTION_SPAN_BYTES: u64 = 1 << 20;
+
+/// One compaction input read: the run's tables `tables`, which sit back to
+/// back in physical file `file_number` over `[offset, offset + len)`.
+struct Span {
+    /// Physical file holding every table of the span.
+    file_number: u64,
+    /// Offset of the span's first table.
+    offset: u64,
+    /// Bytes from the first table's start to the last table's end.
+    len: u64,
+    /// Indices of the span's tables within the run.
+    tables: std::ops::Range<usize>,
+}
+
+/// Group a run's tables, in run order, into maximal spans: a table joins
+/// the previous span when it lives in the same file, starts exactly where
+/// the span ends (so no punched hole or live foreign table lies between),
+/// and the span stays within `cap` bytes.
+fn plan_spans(tables: &[Arc<TableMeta>], cap: u64) -> Vec<Span> {
+    let mut spans: Vec<Span> = Vec::new();
+    for (i, t) in tables.iter().enumerate() {
+        match spans.last_mut() {
+            Some(s)
+                if s.file_number == t.file_number
+                    && s.offset + s.len == t.offset
+                    && s.len + t.size <= cap =>
+            {
+                s.len += t.size;
+                s.tables.end = i + 1;
+            }
+            _ => spans.push(Span {
+                file_number: t.file_number,
+                offset: t.offset,
+                len: t.size,
+                tables: i..i + 1,
+            }),
+        }
+    }
+    spans
+}
+
+/// Where a [`RunIter`] gets its table readers.
+enum TableSource {
+    /// Foreground reads: the TableCache and its block cache.
+    Cached,
+    /// Compaction input: each [`Span`] is read once, in one call, and its
+    /// tables open over that copy without touching either cache.
+    Spans {
+        spans: Vec<Span>,
+        /// Index and in-memory copy of the span read last.
+        loaded: Option<(usize, Arc<dyn RandomAccessFile>)>,
+        stats: Arc<DbStats>,
+    },
+}
+
 /// Concatenating iterator over one run's (sorted, disjoint) tables, opened
-/// lazily through the TableCache.
+/// lazily through the TableCache or, for compaction input, span by span.
 pub struct RunIter {
     icmp: InternalKeyComparator,
     cache: Arc<TableCache>,
     db: String,
     tables: Vec<Arc<TableMeta>>,
+    source: TableSource,
     index: usize,
     iter: Option<bolt_table::TableIter>,
 }
@@ -124,19 +188,69 @@ impl RunIter {
             cache,
             db,
             tables,
+            source: TableSource::Cached,
             index: 0,
             iter: None,
         }
     }
 
+    /// Iterate compaction victims `tables` (sorted, pairwise disjoint):
+    /// one read per span of adjacent tables, at most
+    /// [`COMPACTION_SPAN_BYTES`] unless one table is larger, counted in
+    /// `stats`, and no TableCache or block-cache traffic.
+    pub(crate) fn for_compaction(
+        icmp: InternalKeyComparator,
+        cache: Arc<TableCache>,
+        db: String,
+        tables: Vec<Arc<TableMeta>>,
+        stats: Arc<DbStats>,
+    ) -> Self {
+        let spans = plan_spans(&tables, COMPACTION_SPAN_BYTES);
+        stats.record_compaction_spans(spans.len() as u64);
+        RunIter {
+            source: TableSource::Spans {
+                spans,
+                loaded: None,
+                stats,
+            },
+            ..RunIter::new(icmp, cache, db, tables)
+        }
+    }
+
     fn open_current(&mut self) -> Result<()> {
-        self.iter = match self.tables.get(self.index) {
-            Some(meta) => {
-                let table = self.cache.table(&meta.spec(&self.db))?;
-                Some(table.iter())
-            }
-            None => None,
+        let Some(meta) = self.tables.get(self.index) else {
+            self.iter = None;
+            return Ok(());
         };
+        let spec = meta.spec(&self.db);
+        let table = match &mut self.source {
+            TableSource::Cached => self.cache.table(&spec)?,
+            TableSource::Spans {
+                spans,
+                loaded,
+                stats,
+            } => {
+                let at = spans.partition_point(|s| s.tables.end <= self.index);
+                let view = match loaded {
+                    Some((i, view)) if *i == at => Arc::clone(view),
+                    _ => {
+                        let span = &spans[at];
+                        let view = self.cache.read_span(
+                            span.file_number,
+                            &spec.path,
+                            span.offset,
+                            span.len,
+                        )?;
+                        stats.record_compaction_read(1);
+                        stats.record_compaction_read_bytes(span.len);
+                        *loaded = Some((at, Arc::clone(&view)));
+                        view
+                    }
+                };
+                self.cache.open_in_span(view, &spec)?
+            }
+        };
+        self.iter = Some(table.iter());
         Ok(())
     }
 
@@ -193,6 +307,52 @@ impl InternalIterator for RunIter {
 
     fn value(&self) -> &[u8] {
         self.iter.as_ref().expect("positioned").value()
+    }
+}
+
+/// An iterator cut off after user key `upper`: it stops being valid at the
+/// first entry past the bound, leaving the underlying iterator there for
+/// the next range.
+pub(crate) struct UpTo<'a> {
+    iter: &'a mut dyn InternalIterator,
+    icmp: &'a InternalKeyComparator,
+    upper: &'a [u8],
+}
+
+impl<'a> UpTo<'a> {
+    /// Bound `iter` to entries whose user key is at most `upper`.
+    pub(crate) fn new(
+        iter: &'a mut dyn InternalIterator,
+        icmp: &'a InternalKeyComparator,
+        upper: &'a [u8],
+    ) -> Self {
+        UpTo { iter, icmp, upper }
+    }
+}
+
+impl InternalIterator for UpTo<'_> {
+    fn valid(&self) -> bool {
+        self.iter.valid()
+            && self
+                .icmp
+                .user_comparator()
+                .compare(extract_user_key(self.iter.key()), self.upper)
+                .is_le()
+    }
+    fn seek_to_first(&mut self) -> Result<()> {
+        self.iter.seek_to_first()
+    }
+    fn seek(&mut self, target: &[u8]) -> Result<()> {
+        self.iter.seek(target)
+    }
+    fn next(&mut self) -> Result<()> {
+        self.iter.next()
+    }
+    fn key(&self) -> &[u8] {
+        self.iter.key()
+    }
+    fn value(&self) -> &[u8] {
+        self.iter.value()
     }
 }
 
@@ -754,6 +914,140 @@ mod tests {
         );
         iter.seek(&lookup_key(b"9", 100)).unwrap();
         assert!(!iter.valid());
+    }
+
+    fn span_meta(id: u64, file: u64, offset: u64, size: u64) -> Arc<TableMeta> {
+        Arc::new(TableMeta::new(
+            id,
+            file,
+            offset,
+            size,
+            1,
+            Vec::new(),
+            Vec::new(),
+        ))
+    }
+
+    #[test]
+    fn spans_join_adjacent_tables_of_one_file_up_to_the_cap() {
+        let tables = vec![
+            span_meta(1, 7, 0, 100),
+            span_meta(2, 7, 100, 100),
+            span_meta(3, 7, 200, 100),
+            // A gap (a punched or foreign table) breaks the span.
+            span_meta(4, 7, 400, 100),
+            // So does another file, even at an adjacent offset.
+            span_meta(5, 8, 500, 100),
+            // A table larger than the cap is its own span, read whole.
+            span_meta(6, 8, 600, 1_000),
+            span_meta(7, 8, 1_600, 100),
+        ];
+        let spans = plan_spans(&tables, 250);
+        let shape: Vec<(u64, u64, u64, std::ops::Range<usize>)> = spans
+            .into_iter()
+            .map(|s| (s.file_number, s.offset, s.len, s.tables))
+            .collect();
+        assert_eq!(
+            shape,
+            vec![
+                (7, 0, 200, 0..2),
+                (7, 200, 100, 2..3),
+                (7, 400, 100, 3..4),
+                (8, 500, 100, 4..5),
+                (8, 600, 1_000, 5..6),
+                (8, 1_600, 100, 6..7),
+            ]
+        );
+        assert!(plan_spans(&[], 250).is_empty());
+    }
+
+    #[test]
+    fn compaction_run_iter_reads_around_a_punched_hole() {
+        use crate::testenv::RecordingEnv;
+        use bolt_env::Env;
+        use bolt_table::builder::{FilterKey, TableBuilder, TableFormat};
+        use bolt_table::ikey::make_internal_key;
+        use bolt_table::{TableCache, TableReadOptions};
+
+        let recorder = Arc::new(RecordingEnv::default());
+        let env: Arc<dyn Env> = Arc::clone(&recorder) as Arc<dyn Env>;
+        env.create_dir_all("db").unwrap();
+        // Three adjacent logical tables in one compaction file.
+        let mut file = env.new_writable_file("db/000001.sst").unwrap();
+        let mut metas = Vec::new();
+        for t in 0..3u32 {
+            let mut b = TableBuilder::new(file.as_mut(), TableFormat::default());
+            for i in 0..20u32 {
+                let key = make_internal_key(format!("{t}k{i:03}").as_bytes(), 5, ValueType::Value);
+                b.add(&key, format!("{t}-{i}").as_bytes()).unwrap();
+            }
+            let built = b.finish().unwrap();
+            metas.push(Arc::new(TableMeta::new(
+                t as u64 + 1,
+                1,
+                built.offset,
+                built.size,
+                built.num_entries,
+                built.smallest,
+                built.largest,
+            )));
+        }
+        file.sync().unwrap();
+        drop(file);
+        // The middle table died and its bytes were punched.
+        let hole = metas.remove(1);
+        env.punch_hole("db/000001.sst", hole.offset, hole.size)
+            .unwrap();
+
+        let cache = Arc::new(TableCache::new(
+            Arc::clone(&env),
+            10,
+            Some(10),
+            TableReadOptions {
+                comparator: Arc::new(InternalKeyComparator::default()),
+                filter_policy: None,
+                filter_key: FilterKey::UserKey,
+                block_cache: None,
+            },
+        ));
+        let stats = Arc::new(DbStats::default());
+        let mut iter = RunIter::for_compaction(
+            InternalKeyComparator::default(),
+            Arc::clone(&cache),
+            "db".to_string(),
+            metas.clone(),
+            Arc::clone(&stats),
+        );
+        iter.seek_to_first().unwrap();
+        let mut keys = Vec::new();
+        while iter.valid() {
+            keys.push(parse_internal_key(iter.key()).unwrap().user_key.to_vec());
+            iter.next().unwrap();
+        }
+        assert_eq!(keys.len(), 40);
+        assert_eq!(keys.first().unwrap(), b"0k000");
+        assert_eq!(keys.last().unwrap(), b"2k019");
+
+        // Two spans, one read each, each exactly one victim.
+        let reads = recorder.reads(".sst");
+        let expected: Vec<(String, u64, u64)> = metas
+            .iter()
+            .map(|m| ("db/000001.sst".to_string(), m.offset, m.size))
+            .collect();
+        assert_eq!(reads, expected);
+        for (_, offset, len) in &reads {
+            assert!(
+                offset + len <= hole.offset || *offset >= hole.offset + hole.size,
+                "read [{offset}, {}) overlaps the hole",
+                offset + len
+            );
+        }
+        let s = stats.snapshot();
+        assert_eq!((s.compaction_spans, s.compaction_reads), (2, 2));
+        assert_eq!(s.compaction_read_bytes, metas[0].size + metas[1].size);
+        // The table slot cache was never consulted.
+        assert_eq!(cache.open_count(), 0);
+        assert_eq!(cache.stats().hits() + cache.stats().misses(), 0);
     }
 
     #[test]

@@ -43,6 +43,8 @@ pub mod metrics;
 pub mod options;
 pub mod stats;
 pub(crate) mod sync;
+#[cfg(test)]
+mod testenv;
 pub mod txn;
 pub mod version;
 pub mod versions;

@@ -76,6 +76,16 @@ pub struct MetricsSnapshot {
     /// Successful self-healing MANIFEST re-cuts since open (O5): failed
     /// commit barriers absorbed without poisoning the writer.
     pub manifest_recuts: u64,
+    /// Completed MANIFEST rolls since open: the live MANIFEST outgrew its
+    /// bound and was replaced by a fresh snapshot.
+    pub manifest_rolls: u64,
+    /// MANIFEST rolls that failed on an I/O error since open (the commit
+    /// that triggered each was already durable; the next commit retries).
+    pub manifest_roll_failures: u64,
+    /// Size of the live MANIFEST.
+    pub manifest_bytes: u64,
+    /// Size past which the next commit rolls the live MANIFEST.
+    pub manifest_roll_bound: u64,
     /// Range tombstones recorded across live tables in the current version
     /// (sum of the MANIFEST per-table counts; drops to 0 once compaction
     /// has rewritten every covered span).
@@ -148,6 +158,13 @@ impl MetricsSnapshot {
             &[],
             d.compaction_output_bytes,
         );
+        reg.counter("bolt_compaction_spans_total", &[], d.compaction_spans);
+        reg.counter("bolt_compaction_reads_total", &[], d.compaction_reads);
+        reg.counter(
+            "bolt_compaction_read_bytes_total",
+            &[],
+            d.compaction_read_bytes,
+        );
         reg.counter("bolt_flush_bytes_total", &[], d.flush_bytes);
         reg.counter("bolt_slowdowns_total", &[], d.slowdowns);
         reg.counter("bolt_stalls_total", &[], d.stalls);
@@ -197,6 +214,18 @@ impl MetricsSnapshot {
         reg.counter("bolt_events_emitted_total", &[], self.events_emitted);
         reg.counter("bolt_events_dropped_total", &[], self.events_dropped);
         reg.counter("bolt_manifest_recuts_total", &[], self.manifest_recuts);
+        reg.counter("bolt_manifest_rolls_total", &[], self.manifest_rolls);
+        reg.counter(
+            "bolt_manifest_roll_failures_total",
+            &[],
+            self.manifest_roll_failures,
+        );
+        reg.gauge("bolt_manifest_bytes", &[], self.manifest_bytes as f64);
+        reg.gauge(
+            "bolt_manifest_roll_bound_bytes",
+            &[],
+            self.manifest_roll_bound as f64,
+        );
         let c = &self.cache;
         for (cache, hits, misses) in [
             ("table", c.table_hits, c.table_misses),
@@ -290,6 +319,9 @@ mod tests {
                 wal_syncs: 2,
                 range_deletes: 2,
                 checkpoints: 1,
+                compaction_spans: 6,
+                compaction_reads: 6,
+                compaction_read_bytes: 4096,
                 ..Default::default()
             },
             io: IoSnapshot {
@@ -327,6 +359,10 @@ mod tests {
             events_emitted: 42,
             events_dropped: 0,
             manifest_recuts: 1,
+            manifest_rolls: 2,
+            manifest_roll_failures: 0,
+            manifest_bytes: 9000,
+            manifest_roll_bound: 65536,
             range_tombstones_live: 3,
             cache: CacheMetrics {
                 table_hits: 7,
@@ -377,6 +413,22 @@ mod tests {
         assert_eq!(
             reg.find("bolt_manifest_recuts_total", &[]),
             Some(&MetricValue::Counter(1))
+        );
+        assert_eq!(
+            reg.find("bolt_manifest_rolls_total", &[]),
+            Some(&MetricValue::Counter(2))
+        );
+        assert_eq!(
+            reg.find("bolt_manifest_bytes", &[]),
+            Some(&MetricValue::Gauge(9000.0))
+        );
+        assert_eq!(
+            reg.find("bolt_compaction_reads_total", &[]),
+            Some(&MetricValue::Counter(6))
+        );
+        assert_eq!(
+            reg.find("bolt_compaction_read_bytes_total", &[]),
+            Some(&MetricValue::Counter(4096))
         );
         assert_eq!(
             reg.find("bolt_range_deletes_total", &[]),

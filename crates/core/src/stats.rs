@@ -15,6 +15,12 @@ pub struct DbStats {
     seek_compactions: AtomicU64,
     compaction_input_bytes: AtomicU64,
     compaction_output_bytes: AtomicU64,
+    /// Spans planned over merged compaction inputs (one read each).
+    compaction_spans: AtomicU64,
+    /// Compaction input reads issued (one per span read).
+    compaction_reads: AtomicU64,
+    /// Bytes those reads returned.
+    compaction_read_bytes: AtomicU64,
     flush_bytes: AtomicU64,
     /// Writer slept 1 ms because of the L0SlowDown governor.
     slowdowns: AtomicU64,
@@ -67,6 +73,16 @@ pub struct DbStatsSnapshot {
     pub compaction_input_bytes: u64,
     /// Bytes written by compactions.
     pub compaction_output_bytes: u64,
+    /// Spans planned over merged compaction inputs: maximal stretches of a
+    /// run's victims adjacent in one file, capped at
+    /// [`crate::iterator::COMPACTION_SPAN_BYTES`].
+    pub compaction_spans: u64,
+    /// Compaction input reads issued; each reads one whole span, so this
+    /// never exceeds `compaction_spans`.
+    pub compaction_reads: u64,
+    /// Bytes the compaction input reads returned (every merged input byte
+    /// once: equals `compaction_input_bytes` when no compaction failed).
+    pub compaction_read_bytes: u64,
     /// Bytes written by flushes.
     pub flush_bytes: u64,
     /// L0SlowDown 1 ms sleeps.
@@ -158,6 +174,9 @@ impl DbStats {
         record_seek_compaction / seek_compactions => seek_compactions,
         record_compaction_input / compaction_input_bytes => compaction_input_bytes,
         record_compaction_output / compaction_output_bytes => compaction_output_bytes,
+        record_compaction_spans / compaction_spans => compaction_spans,
+        record_compaction_read / compaction_reads => compaction_reads,
+        record_compaction_read_bytes / compaction_read_bytes => compaction_read_bytes,
         record_flush_bytes / flush_bytes => flush_bytes,
         record_slowdown / slowdowns => slowdowns,
         record_stall / stalls => stalls,
@@ -191,6 +210,9 @@ impl DbStats {
             seek_compactions: self.seek_compactions(),
             compaction_input_bytes: self.compaction_input_bytes(),
             compaction_output_bytes: self.compaction_output_bytes(),
+            compaction_spans: self.compaction_spans(),
+            compaction_reads: self.compaction_reads(),
+            compaction_read_bytes: self.compaction_read_bytes(),
             flush_bytes: self.flush_bytes(),
             slowdowns: self.slowdowns(),
             stalls: self.stalls(),

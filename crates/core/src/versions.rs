@@ -23,6 +23,15 @@ use crate::filename::{current_file, manifest_file, table_file, vlog_file};
 use crate::options::CompactionPolicyKind;
 use crate::version::{RunLayout, Version, VersionBuilder, VersionEdit};
 
+/// A live MANIFEST rolls once it holds more than this multiple of the
+/// snapshot it was cut from, so recovery replays a bounded tail of edits
+/// after one snapshot instead of the whole history since open.
+const MANIFEST_ROLL_FACTOR: u64 = 4;
+
+/// The roll bound never drops below this many bytes, so a small database
+/// does not roll every few commits.
+const MANIFEST_ROLL_FLOOR: u64 = 4 * (16 << 10);
+
 /// Wrap a fresh MANIFEST file: its barriers default to `open_manifest`
 /// (the snapshot written at open); flush/compaction commits override with
 /// their own explicit scopes.
@@ -190,6 +199,14 @@ pub struct VersionSet {
     checkpoint_linked_vlogs: HashSet<u64>,
     /// Successful self-healing re-cuts since open.
     recuts: u64,
+    /// Size of the live MANIFEST's snapshot record(s) when it was cut: the
+    /// base of its roll bound.
+    manifest_snapshot_bytes: u64,
+    /// Completed MANIFEST rolls since open.
+    rolls: u64,
+    /// Rolls that failed since open; each absorbed exactly one I/O fault
+    /// (the commit that triggered it was already durable).
+    roll_failures: u64,
     /// Structured-event destination; MANIFEST commits are announced here.
     sink: Option<Arc<EventSink>>,
 }
@@ -240,6 +257,9 @@ impl VersionSet {
             checkpoint_linked_files: HashSet::new(),
             checkpoint_linked_vlogs: HashSet::new(),
             recuts: 0,
+            manifest_snapshot_bytes: 0,
+            rolls: 0,
+            roll_failures: 0,
             sink: None,
         }
     }
@@ -393,7 +413,56 @@ impl VersionSet {
         let version = Arc::new(builder.build()?);
         self.live.push(Arc::downgrade(&version));
         self.current = Arc::clone(&version);
+        self.maybe_roll_manifest();
         Ok(version)
+    }
+
+    /// Bytes the live MANIFEST may hold before a commit rolls it: four
+    /// times the snapshot it was cut from, at least 64 KiB.
+    pub fn manifest_roll_bound(&self) -> u64 {
+        (MANIFEST_ROLL_FACTOR * self.manifest_snapshot_bytes).max(MANIFEST_ROLL_FLOOR)
+    }
+
+    /// Size of the live MANIFEST (0 while the writer is poisoned).
+    pub fn manifest_bytes(&self) -> u64 {
+        self.manifest.as_ref().map_or(0, LogWriter::len)
+    }
+
+    /// Roll the live MANIFEST once it outgrows [`Self::manifest_roll_bound`]:
+    /// cut a fresh one from a snapshot of the version just installed
+    /// (the O5 cut path), swing CURRENT to it, and delete the old file.
+    ///
+    /// The commit that crossed the bound is already durable in the old
+    /// file, so a failed roll changes nothing the caller must know: the
+    /// cut installs its writer only after the CURRENT swing, which is
+    /// its last and atomic step, so CURRENT still names the old MANIFEST
+    /// and commits keep appending there. The next commit retries.
+    fn maybe_roll_manifest(&mut self) {
+        let old_bytes = self.manifest_bytes();
+        if old_bytes <= self.manifest_roll_bound() {
+            return;
+        }
+        let old = self.manifest_number;
+        let number = self.new_file_number();
+        let _scope = BarrierScope::new(BarrierCause::ManifestRoll);
+        if self.cut_fresh_manifest(number).is_err() {
+            // Never named by CURRENT; reclaim whatever the cut wrote.
+            self.roll_failures += 1;
+            self.stale_manifests.push(number);
+            self.scavenge_stale_manifests();
+            return;
+        }
+        self.rolls += 1;
+        self.stale_manifests.push(old);
+        self.scavenge_stale_manifests();
+        if let Some(sink) = &self.sink {
+            sink.emit(EngineEvent::ManifestRoll {
+                old_manifest: old,
+                new_manifest: number,
+                old_bytes,
+                snapshot_bytes: self.manifest_snapshot_bytes,
+            });
+        }
     }
 
     /// Pin `version` for an in-progress checkpoint. Returns the pin id and
@@ -667,6 +736,7 @@ impl VersionSet {
         };
         manifest.add_record(&edit.encode())?;
         manifest.sync()?;
+        self.manifest_snapshot_bytes = manifest.len();
         self.manifest = Some(manifest);
         self.install_current(self.manifest_number)?;
         Ok(())
@@ -712,18 +782,18 @@ impl VersionSet {
         }
     }
 
-    /// Cut a brand-new MANIFEST: write a full snapshot of the current
-    /// in-memory version, sync it, and durably swing CURRENT to it. The
-    /// fresh writer is installed only after the swing succeeds — a writer
-    /// CURRENT does not name would make synced commits invisible to
-    /// recovery, silently violating I1.
-    fn cut_fresh_manifest(&mut self) -> Result<()> {
-        let number = self.new_file_number();
+    /// Cut brand-new MANIFEST `number` (freshly allocated by the caller):
+    /// write a full snapshot of the current in-memory version, sync it, and
+    /// durably swing CURRENT to it. The fresh writer is installed only
+    /// after the swing succeeds — a writer CURRENT does not name would make
+    /// synced commits invisible to recovery, silently violating I1.
+    fn cut_fresh_manifest(&mut self, number: u64) -> Result<()> {
         let path = manifest_file(&self.db, number);
         let mut manifest = new_manifest_writer(self.env.new_writable_file(&path)?);
         manifest.add_record(&self.snapshot_edit().encode())?;
         manifest.sync()?;
         self.install_current(number)?;
+        self.manifest_snapshot_bytes = manifest.len();
         self.manifest = Some(manifest);
         self.manifest_number = number;
         Ok(())
@@ -745,7 +815,8 @@ impl VersionSet {
         for _ in 0..MAX_RECUT_ATTEMPTS {
             let abandoned = self.manifest_number;
             let _scope = BarrierScope::new(BarrierCause::ManifestRecut);
-            if let Err(recut_err) = self.cut_fresh_manifest() {
+            let number = self.new_file_number();
+            if let Err(recut_err) = self.cut_fresh_manifest(number) {
                 return Err(Error::InvalidState(format!(
                     "MANIFEST poisoned: commit failed ({last_err}), re-cut failed \
                      ({recut_err}); reopen to recover"
@@ -986,8 +1057,10 @@ impl VersionSet {
         }
 
         // Start a fresh manifest with a complete snapshot — the same cut
-        // path that self-heals a failed commit barrier at runtime.
-        self.cut_fresh_manifest()?;
+        // path that self-heals a failed commit barrier and rolls an
+        // outgrown MANIFEST at runtime.
+        let number = self.new_file_number();
+        self.cut_fresh_manifest(number)?;
         // Scavenge every stale MANIFEST: the one just replayed, plus any
         // stray a crash mid-re-cut left behind (cut and maybe synced, but
         // CURRENT was never swung to it, so nothing references it).
@@ -1046,6 +1119,17 @@ impl VersionSet {
     /// error — never silently by a sibling's re-cut.
     pub fn manifest_recuts(&self) -> u64 {
         self.recuts
+    }
+
+    /// Completed MANIFEST rolls since open.
+    pub fn manifest_rolls(&self) -> u64 {
+        self.rolls
+    }
+
+    /// MANIFEST rolls that failed since open, each on exactly one I/O fault
+    /// that no caller saw: the triggering commit was already durable.
+    pub fn manifest_roll_failures(&self) -> u64 {
+        self.roll_failures
     }
 }
 
@@ -1563,6 +1647,127 @@ mod tests {
             .collect();
         names.sort();
         names
+    }
+
+    /// Commit `n` edits that each replace the single live table, so the
+    /// snapshot stays one table while the MANIFEST accumulates history.
+    /// Unless a roll failed, asserts after every commit that the live
+    /// MANIFEST is within its roll bound.
+    fn churn(vs: &mut VersionSet, n: usize) {
+        for _ in 0..n {
+            let mut edit = VersionEdit::default();
+            for (level, _, table) in vs.current().all_tables() {
+                edit.deleted_tables.push((level as u32, table.table_id));
+            }
+            let t = vs.new_table_id();
+            edit.added_tables.push((0, t, meta(t, 55, 0, 10)));
+            vs.log_and_apply(edit).unwrap();
+            assert!(
+                vs.manifest_roll_failures() > 0 || vs.manifest_bytes() <= vs.manifest_roll_bound(),
+                "live MANIFEST {} B past its roll bound {} B",
+                vs.manifest_bytes(),
+                vs.manifest_roll_bound()
+            );
+        }
+    }
+
+    #[test]
+    fn manifest_rolls_within_its_bound_and_recovers_identically() {
+        let (_fault, env, sink, mut vs) = faulted_set();
+        let mut events = Vec::new();
+        for _ in 0..50 {
+            churn(&mut vs, 100);
+            events.extend(sink.drain());
+        }
+        assert!(vs.manifest_rolls() >= 2, "rolls: {}", vs.manifest_rolls());
+        assert_eq!(vs.manifest_roll_failures(), 0);
+        assert_eq!(vs.manifest_roll_bound(), MANIFEST_ROLL_FLOOR);
+        // Each roll pays one snapshot sync under its own cause (the CURRENT
+        // swing keeps `current_pointer`) and announces itself.
+        assert_eq!(
+            sink.barrier_count(BarrierCause::ManifestRoll),
+            vs.manifest_rolls()
+        );
+        let rolls: Vec<_> = events
+            .into_iter()
+            .filter_map(|e| match e.event {
+                EngineEvent::ManifestRoll {
+                    old_bytes,
+                    snapshot_bytes,
+                    ..
+                } => Some((old_bytes, snapshot_bytes)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(rolls.len() as u64, vs.manifest_rolls());
+        assert!(rolls
+            .iter()
+            .all(|&(old, snap)| old > MANIFEST_ROLL_FLOOR && snap < old));
+        // Every outgrown MANIFEST was deleted.
+        assert_eq!(
+            manifest_files(&env),
+            vec![format!("MANIFEST-{:06}", vs.manifest_number())]
+        );
+
+        let live: Vec<u64> = vs
+            .current()
+            .all_tables()
+            .map(|(_, _, t)| t.table_id)
+            .collect();
+        let (next_file, next_table) = (vs.next_file_number, vs.next_table_id);
+        drop(vs);
+        let mut reopened =
+            VersionSet::new(Arc::clone(&env), "db", InternalKeyComparator::default(), 7);
+        reopened.recover().unwrap();
+        let recovered: Vec<u64> = reopened
+            .current()
+            .all_tables()
+            .map(|(_, _, t)| t.table_id)
+            .collect();
+        assert_eq!(recovered, live);
+        assert!(reopened.next_file_number >= next_file);
+        assert_eq!(reopened.next_table_id, next_table);
+    }
+
+    #[test]
+    fn failed_roll_keeps_the_old_manifest_and_retries() {
+        let (fault, env, _sink, mut vs) = faulted_set();
+        // Fail the first CURRENT swing: the roll's last step before its
+        // writer would be installed.
+        fault.set_plan(bolt_env::FaultPlan::parse("eio:sync:glob=CURRENT*:nth=0").unwrap());
+        let old = vs.manifest_number();
+        while vs.manifest_roll_failures() == 0 {
+            churn(&mut vs, 1);
+            assert_eq!(vs.manifest_rolls(), 0);
+        }
+        assert_eq!(fault.faults_injected(), 1);
+        // The commit that triggered the roll succeeded; the old MANIFEST is
+        // still the live one, and the orphaned fresh file is gone.
+        assert_eq!(vs.manifest_number(), old);
+        assert_eq!(manifest_files(&env), vec![format!("MANIFEST-{old:06}")]);
+        // The next commit retries the roll, and this time it lands.
+        churn(&mut vs, 1);
+        assert_eq!(vs.manifest_rolls(), 1);
+        assert_ne!(vs.manifest_number(), old);
+        assert_eq!(
+            manifest_files(&env),
+            vec![format!("MANIFEST-{:06}", vs.manifest_number())]
+        );
+        let live: Vec<u64> = vs
+            .current()
+            .all_tables()
+            .map(|(_, _, t)| t.table_id)
+            .collect();
+        drop(vs);
+        let mut reopened =
+            VersionSet::new(Arc::clone(&env), "db", InternalKeyComparator::default(), 7);
+        reopened.recover().unwrap();
+        let recovered: Vec<u64> = reopened
+            .current()
+            .all_tables()
+            .map(|(_, _, t)| t.table_id)
+            .collect();
+        assert_eq!(recovered, live, "every commit survives the failed roll");
     }
 
     #[test]

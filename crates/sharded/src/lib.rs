@@ -755,6 +755,25 @@ mod tests {
         );
         assert_eq!(m.aggregate.cache.fd_hits, c0.fd_hits + c1.fd_hits);
         assert_eq!(m.aggregate.cache.fd_misses, c0.fd_misses + c1.fd_misses);
+        // Each shard owns its MANIFEST: sizes, bounds and rolls sum.
+        let (s0, s1) = (&m.per_shard[0], &m.per_shard[1]);
+        assert!(s0.manifest_bytes > 0 && s1.manifest_bytes > 0);
+        assert_eq!(
+            m.aggregate.manifest_bytes,
+            s0.manifest_bytes + s1.manifest_bytes
+        );
+        assert_eq!(
+            m.aggregate.manifest_roll_bound,
+            s0.manifest_roll_bound + s1.manifest_roll_bound
+        );
+        assert_eq!(
+            m.aggregate.manifest_rolls,
+            s0.manifest_rolls + s1.manifest_rolls
+        );
+        assert_eq!(
+            m.aggregate.db.compaction_reads,
+            s0.db.compaction_reads + s1.db.compaction_reads
+        );
         // Shared env: the global I/O snapshot is taken once, not doubled.
         assert_eq!(m.aggregate.io.fsync_calls, m.per_shard[0].io.fsync_calls);
         let text = m.to_prometheus_text();

@@ -40,6 +40,9 @@ pub(crate) fn aggregate(per_shard: &[MetricsSnapshot], env_owner: &[bool]) -> Me
         d.seek_compactions += s.seek_compactions;
         d.compaction_input_bytes += s.compaction_input_bytes;
         d.compaction_output_bytes += s.compaction_output_bytes;
+        d.compaction_spans += s.compaction_spans;
+        d.compaction_reads += s.compaction_reads;
+        d.compaction_read_bytes += s.compaction_read_bytes;
         d.flush_bytes += s.flush_bytes;
         d.slowdowns += s.slowdowns;
         d.stalls += s.stalls;
@@ -95,6 +98,13 @@ pub(crate) fn aggregate(per_shard: &[MetricsSnapshot], env_owner: &[bool]) -> Me
         agg.events_emitted += m.events_emitted;
         agg.events_dropped += m.events_dropped;
         agg.manifest_recuts += m.manifest_recuts;
+        // Every shard owns its MANIFEST: rolls and sizes sum, and so do the
+        // bounds, keeping `manifest_bytes <= manifest_roll_bound` true of
+        // the aggregate whenever it holds per shard.
+        agg.manifest_rolls += m.manifest_rolls;
+        agg.manifest_roll_failures += m.manifest_roll_failures;
+        agg.manifest_bytes += m.manifest_bytes;
+        agg.manifest_roll_bound += m.manifest_roll_bound;
         // Every shard owns its TableCache, so cache counters always sum.
         let c = &mut agg.cache;
         c.table_hits += m.cache.table_hits;

@@ -11,12 +11,17 @@
 //! file for reading, for tables and value-log segments alike. Handles are
 //! keyed by file number, which is sound because every file kind draws its
 //! number from the same MANIFEST counter and numbers are never reused.
+//!
+//! Compaction inputs bypass both caches: [`TableCache::read_span`] reads a
+//! stretch of adjacent logical tables in one call, and
+//! [`TableCache::open_in_span`] opens each of them over that in-memory
+//! copy, so tables about to be deleted never displace foreground entries.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bolt_common::cache::LruCache;
-use bolt_common::Result;
+use bolt_common::{Error, Result};
 use bolt_env::{Env, RandomAccessFile};
 
 use crate::table::{Table, TableReadOptions};
@@ -34,6 +39,35 @@ pub struct TableSpec {
     pub offset: u64,
     /// Byte size of the table.
     pub size: u64,
+}
+
+/// An in-memory copy of bytes `[base, base + data.len())` of one physical
+/// file, read once by [`TableCache::read_span`]. Reads outside the copy
+/// are errors, never silent refetches.
+struct SpanFile {
+    base: u64,
+    data: Vec<u8>,
+}
+
+impl RandomAccessFile for SpanFile {
+    fn read(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
+        let start = offset
+            .checked_sub(self.base)
+            .filter(|&start| start <= self.data.len() as u64)
+            .ok_or_else(|| {
+                Error::io(format!(
+                    "read at {offset} outside the span [{}, {})",
+                    self.base,
+                    self.len()
+                ))
+            })? as usize;
+        let end = start.saturating_add(len).min(self.data.len());
+        Ok(self.data[start..end].to_vec())
+    }
+
+    fn len(&self) -> u64 {
+        self.base + self.data.len() as u64
+    }
 }
 
 // LruCache stores Arc<V>; for the fd cache V = dyn RandomAccessFile, which
@@ -121,6 +155,68 @@ impl TableCache {
         )?);
         self.tables.insert(spec.table_id, Arc::clone(&table), 1);
         Ok(table)
+    }
+
+    /// Read `len` bytes of physical file `file_number` at `offset` in one
+    /// call (handle through [`TableCache::open_file`]) and return them as
+    /// an in-memory file for [`TableCache::open_in_span`].
+    ///
+    /// # Errors
+    ///
+    /// Returns I/O errors, and [`Error::Corruption`] when the file ends
+    /// before the span does.
+    pub fn read_span(
+        &self,
+        file_number: u64,
+        path: &str,
+        offset: u64,
+        len: u64,
+    ) -> Result<Arc<dyn RandomAccessFile>> {
+        let file = self.open_file(file_number, path)?;
+        // Bound the allocation by the file before trusting `len`.
+        let end = offset.checked_add(len).filter(|&end| end <= file.len());
+        let (Some(_), Ok(want)) = (end, usize::try_from(len)) else {
+            return Err(Error::corruption(format!(
+                "{path}: span [{offset}, +{len}) past the end of the file ({} B)",
+                file.len()
+            )));
+        };
+        let data = file.read(offset, want)?;
+        if data.len() != want {
+            return Err(Error::corruption(format!(
+                "{path}: span [{offset}, {}) truncated at {}",
+                offset + len,
+                offset + data.len() as u64
+            )));
+        }
+        Ok(Arc::new(SpanFile { base: offset, data }))
+    }
+
+    /// Open the table `spec` over `span`, a [`TableCache::read_span`] copy
+    /// covering it, bypassing the table slot cache, the block cache and the
+    /// filter: every footer and block checksum is still verified, but
+    /// nothing is cached and no counter of this cache moves.
+    ///
+    /// # Errors
+    ///
+    /// Returns corruption errors from [`Table::open`].
+    pub fn open_in_span(
+        &self,
+        span: Arc<dyn RandomAccessFile>,
+        spec: &TableSpec,
+    ) -> Result<Arc<Table>> {
+        let opts = TableReadOptions {
+            filter_policy: None,
+            block_cache: None,
+            ..self.opts.clone()
+        };
+        Ok(Arc::new(Table::open(
+            span,
+            spec.offset,
+            spec.size,
+            spec.file_number,
+            opts,
+        )?))
     }
 
     /// Drop a table from the cache (after compaction invalidates it).
@@ -273,6 +369,56 @@ mod tests {
             .unwrap()
             .is_some());
         cache.evict_file(7); // must not panic; handle drops when tables do
+    }
+
+    #[test]
+    fn span_reads_open_tables_without_the_cache_and_reject_overruns() {
+        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+        let mut file = env.new_writable_file("000003.cf").unwrap();
+        let mut builts = Vec::new();
+        for t in 0..2u32 {
+            let mut b = TableBuilder::new(file.as_mut(), TableFormat::default());
+            for i in 0..20u32 {
+                let key = make_internal_key(format!("{t}/k{i:04}").as_bytes(), 1, ValueType::Value);
+                b.add(&key, b"v").unwrap();
+            }
+            builts.push(b.finish().unwrap());
+        }
+        file.sync().unwrap();
+        drop(file);
+        let len = builts[1].offset + builts[1].size;
+        assert_eq!(builts[0].offset + builts[0].size, builts[1].offset);
+
+        let cache = TableCache::new(Arc::clone(&env), 100, Some(10), opts());
+        let span = cache.read_span(3, "000003.cf", 0, len).unwrap();
+        for (t, built) in builts.iter().enumerate() {
+            let table = cache
+                .open_in_span(
+                    Arc::clone(&span),
+                    &spec(t as u64, 3, "000003.cf", built.offset, built.size),
+                )
+                .unwrap();
+            let mut iter = table.iter();
+            iter.seek_to_first().unwrap();
+            let mut n = 0;
+            while iter.valid() {
+                n += 1;
+                iter.next().unwrap();
+            }
+            assert_eq!(n, 20);
+        }
+        assert_eq!(cache.open_count(), 0);
+        assert_eq!(cache.stats().hits() + cache.stats().misses(), 0);
+        // The copy serves nothing outside itself.
+        assert!(span.read(len + 1, 1).is_err());
+        let tail = cache.read_span(3, "000003.cf", builts[1].offset, builts[1].size);
+        assert!(tail.unwrap().read(0, 1).is_err());
+        // A span past the end of the file is corruption, not a short copy.
+        assert!(matches!(
+            cache.read_span(3, "000003.cf", 0, len + 1),
+            Err(e) if e.is_corruption()
+        ));
+        assert!(cache.read_span(3, "000003.cf", u64::MAX, 2).is_err());
     }
 
     #[test]

@@ -213,6 +213,33 @@ struct PolicySummary {
     read_amp_c: f64,
     space_amp: f64,
     barriers_per_compaction: f64,
+    compaction_reads: u64,
+    compaction_spans: u64,
+    manifest_bytes: u64,
+    manifest_roll_bound: u64,
+}
+
+/// The count-based floors every run asserts, smoke runs included: they
+/// count events rather than time them, so a noisy host cannot flip them.
+///
+/// * Compaction reads each input span once: reads ≤ spans.
+/// * The live MANIFEST stays within its roll bound.
+fn check_count_floors(p: &PoliciesResult) -> Result<()> {
+    for s in &p.summary {
+        if s.compaction_reads > s.compaction_spans {
+            return Err(Error::InvalidState(format!(
+                "{}: {} compaction reads over {} input spans (each span is read once)",
+                s.policy, s.compaction_reads, s.compaction_spans
+            )));
+        }
+        if s.manifest_bytes > s.manifest_roll_bound {
+            return Err(Error::InvalidState(format!(
+                "{}: live MANIFEST {} B past its roll bound {} B",
+                s.policy, s.manifest_bytes, s.manifest_roll_bound
+            )));
+        }
+    }
+    Ok(())
 }
 
 struct PoliciesResult {
@@ -309,6 +336,10 @@ fn run_policy(
             live_bytes as f64 / loaded as f64
         },
         barriers_per_compaction: metrics.barriers_per_compaction(),
+        compaction_reads: metrics.db.compaction_reads,
+        compaction_spans: metrics.db.compaction_spans,
+        manifest_bytes: metrics.manifest_bytes,
+        manifest_roll_bound: metrics.manifest_roll_bound,
     };
     db.close()?;
     Ok((rows, summary))
@@ -583,8 +614,17 @@ fn print_policies(p: &PoliciesResult) {
     }
     for s in &p.summary {
         println!(
-            "{}: write amp {:.2} | read amp (C) {:.2} | space amp {:.2} | barriers/compaction {:.2}",
-            s.policy, s.write_amp, s.read_amp_c, s.space_amp, s.barriers_per_compaction
+            "{}: write amp {:.2} | read amp (C) {:.2} | space amp {:.2} | barriers/compaction {:.2} \
+             | compaction reads {} / spans {} | MANIFEST {} B of {} B",
+            s.policy,
+            s.write_amp,
+            s.read_amp_c,
+            s.space_amp,
+            s.barriers_per_compaction,
+            s.compaction_reads,
+            s.compaction_spans,
+            s.manifest_bytes,
+            s.manifest_roll_bound
         );
     }
 }
@@ -634,6 +674,7 @@ pub fn run_bench(args: &BenchArgs) -> Result<()> {
     let policies = if want("policies") {
         let p = policies_suite(args.smoke)?;
         print_policies(&p);
+        check_count_floors(&p)?;
         Some(p)
     } else {
         None

@@ -140,7 +140,22 @@ fn render_metrics_text(metrics: &MetricsSnapshot) -> String {
         s.wal_syncs_elided
     )
     .expect("write");
-    writeln!(out, "  manifest re-cuts {}", metrics.manifest_recuts).expect("write");
+    writeln!(
+        out,
+        "  compaction reads {} over {} spans ({} B)",
+        s.compaction_reads, s.compaction_spans, s.compaction_read_bytes
+    )
+    .expect("write");
+    writeln!(
+        out,
+        "  manifest re-cuts {} | rolls {} ({} failed) | {} B live, rolls past {} B",
+        metrics.manifest_recuts,
+        metrics.manifest_rolls,
+        metrics.manifest_roll_failures,
+        metrics.manifest_bytes,
+        metrics.manifest_roll_bound
+    )
+    .expect("write");
     let c = &metrics.cache;
     writeln!(
         out,
@@ -327,6 +342,21 @@ pub fn trace_workload() -> Result<(Vec<bolt_core::TraceEvent>, MetricsSnapshot)>
         }
         db.flush()?;
         // Drain incrementally so the ring buffer cannot overflow mid-run.
+        events.extend(db.events());
+    }
+    // Schema v5: rewrite two long keys and flush until the MANIFEST rolls.
+    // Every flush and compaction edit records the 1 KiB keys, while
+    // compaction keeps the live snapshot to a few tables, so the MANIFEST
+    // soon outgrows its bound and the trace carries a `manifest_roll`
+    // event with its cause-tagged barrier.
+    let long_key = |i: u8| format!("roll/{i}/{}", "k".repeat(1024));
+    for _ in 0..256 {
+        if db.metrics().manifest_rolls > 0 {
+            break;
+        }
+        db.put(long_key(0).as_bytes(), b"v")?;
+        db.put(long_key(1).as_bytes(), b"v")?;
+        db.flush()?;
         events.extend(db.events());
     }
     // Schema v4 events: a ranged tombstone straddling a resident prefix
@@ -886,6 +916,10 @@ fn stale() {
             "{prom}"
         );
         assert!(prom.contains("bolt_manifest_recuts_total"), "{prom}");
+        assert!(prom.contains("bolt_manifest_rolls_total"), "{prom}");
+        assert!(prom.contains("bolt_manifest_bytes"), "{prom}");
+        assert!(prom.contains("bolt_compaction_reads_total"), "{prom}");
+        assert!(prom.contains("bolt_compaction_read_bytes_total"), "{prom}");
         assert!(prom.contains("bolt_checkpoints_total"), "{prom}");
         assert!(prom.contains("bolt_range_tombstones_live"), "{prom}");
         assert!(
@@ -893,6 +927,7 @@ fn stale() {
             "{prom}"
         );
         assert!(text.contains("manifest re-cuts"), "{text}");
+        assert!(text.contains("compaction reads"), "{text}");
         assert!(text.contains("fd cache"), "{text}");
     }
 
@@ -906,6 +941,9 @@ fn stale() {
         // always carries the self-healing re-cut and its barrier cause.
         assert!(out.contains("\"type\":\"manifest_recut\""), "{out}");
         assert!(out.contains("\"cause\":\"manifest_recut\""), "{out}");
+        // Schema v5: the workload flushes until the MANIFEST rolls.
+        assert!(out.contains("\"type\":\"manifest_roll\""), "{out}");
+        assert!(out.contains("\"cause\":\"manifest_roll\""), "{out}");
         // Schema v4 scenario events: the workload issues one delete_range
         // and one online checkpoint.
         assert!(out.contains("\"type\":\"range_delete\""), "{out}");

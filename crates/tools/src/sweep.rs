@@ -81,12 +81,24 @@ const RD_DEL_END: u32 = 70;
 const RD_REBIRTH_BEGIN: u32 = 30;
 const RD_REBIRTH_END: u32 = 35;
 
+/// Length of the two keys the MANIFEST-roll phase rewrites. Every edit
+/// naming a table that holds them carries their bytes, while compaction
+/// keeps the live snapshot to a few such tables, so a handful of flushes
+/// outgrows the MANIFEST's roll bound.
+const ROLL_KEY_BYTES: usize = 4096;
+/// Flush rounds the roll phase may take before the sweep gives up on it.
+const ROLL_MAX_ROUNDS: u32 = 64;
+
 fn hole_key(i: u32) -> String {
     format!("h{i:04}")
 }
 
 fn rd_key(i: u32) -> String {
     format!("rd{i:04}")
+}
+
+fn roll_key(i: u32) -> String {
+    format!("m{i}{}", "k".repeat(ROLL_KEY_BYTES))
 }
 
 fn rd_alive(i: u32) -> Vec<u8> {
@@ -181,6 +193,11 @@ pub struct SweepCoverage {
     pub holes_punched: u64,
     /// Self-healing MANIFEST re-cuts (O5) that absorbed an injected fault.
     pub recuts: u64,
+    /// MANIFEST rolls completed (the live MANIFEST outgrew its bound).
+    pub manifest_rolls: u64,
+    /// MANIFEST rolls that failed; each absorbed one injected fault behind
+    /// a commit that was already durable.
+    pub roll_failures: u64,
     /// Values routed to the value log (vlog mode only).
     pub vlog_separated: u64,
     /// Value-log segments retired whole by compaction (vlog mode only).
@@ -204,6 +221,9 @@ pub struct SweepOutcome {
     pub phases: Vec<(u64, String)>,
     /// Crash points actually exercised (op indices).
     pub crash_points: Vec<u64>,
+    /// Force-covered windows reached by the record run, as `(name, crash
+    /// points inside the window)`.
+    pub windows: Vec<(&'static str, usize)>,
     /// Sync ordinals exercised with injected `EIO`.
     pub eio_points: Vec<u64>,
     /// Double-crash pairs exercised, as `(workload op, recovery op)`: the
@@ -527,6 +547,51 @@ fn run_workload(env: &FaultEnv, opts: &Options, marks: bool, checkpoint: bool) -
                 env.mark("recut-done");
             }
         }
+        // MANIFEST-roll phase: rewrite two long keys, flush and settle,
+        // round after round, until a commit rolls the MANIFEST. Every round
+        // starts quiescent and ends settled, so a roll a background
+        // compaction commits stays inside the round that triggered it. The
+        // last `roll-arm` before `roll-done` bounds that round, and the
+        // sweep force-covers it: the fresh snapshot's append and sync, the
+        // CURRENT temp write and rename, and the old file's delete are all
+        // crash points checked against I1-I4.
+        'roll: {
+            if db.compact_until_quiet().is_err() {
+                out.errors += 1;
+                if env.crashed() {
+                    break 'work;
+                }
+                break 'roll;
+            }
+            for _ in 0..ROLL_MAX_ROUNDS {
+                let rolls = db.metrics().manifest_rolls;
+                if marks {
+                    env.mark("roll-arm");
+                }
+                for i in 0..2 {
+                    if db.put(roll_key(i).as_bytes(), b"v").is_err() {
+                        out.errors += 1;
+                        if env.crashed() {
+                            break 'work;
+                        }
+                        break 'roll;
+                    }
+                }
+                if db.flush().is_err() || db.compact_until_quiet().is_err() {
+                    out.errors += 1;
+                    if env.crashed() {
+                        break 'work;
+                    }
+                    break 'roll;
+                }
+                if db.metrics().manifest_rolls > rolls {
+                    if marks {
+                        env.mark("roll-done");
+                    }
+                    break 'roll;
+                }
+            }
+        }
         // Online-checkpoint phase (C1): checkpoint into `ckpt/` and capture
         // the exact image the ack promised (the workload is quiescent, so a
         // post-ack scan *is* the pinned snapshot). The `ckpt-arm` /
@@ -572,12 +637,15 @@ fn run_workload(env: &FaultEnv, opts: &Options, marks: bool, checkpoint: bool) -
     // before the join undercounts it — making a correctly-absorbed fault
     // look swallowed.
     let s = db.stats().snapshot();
+    let m = db.metrics();
     out.stats = SweepCoverage {
         flushes: s.flushes,
         compactions: s.compactions,
         settled_moves: s.settled_moves,
         holes_punched: env.stats().snapshot().holes_punched,
-        recuts: db.metrics().manifest_recuts,
+        recuts: m.manifest_recuts,
+        manifest_rolls: m.manifest_rolls,
+        roll_failures: m.manifest_roll_failures,
         vlog_separated: s.vlog_values_separated,
         vlog_retired: s.vlog_segments_retired,
         range_deletes: s.range_deletes,
@@ -892,6 +960,11 @@ pub fn run_crash_sweep(cfg: &SweepConfig) -> Result<SweepOutcome> {
             record.rd, record.stats.range_deletes
         )));
     }
+    if record.stats.manifest_rolls == 0 {
+        return Err(bolt_common::Error::io(
+            "sweep did not exercise a MANIFEST roll".to_string(),
+        ));
+    }
     if cfg.checkpoint && (!record.ckpt_acked || record.stats.checkpoints == 0) {
         return Err(bolt_common::Error::io(
             "checkpoint sweep did not complete its checkpoint".to_string(),
@@ -905,15 +978,25 @@ pub fn run_crash_sweep(cfg: &SweepConfig) -> Result<SweepOutcome> {
     // force-included after thinning (appends as torn appends): the torn old
     // MANIFEST, the fresh-but-unswung CURRENT, and the not-yet-re-appended
     // edit are exactly the intermediate states O5 must keep I1-I4 through.
-    let mut points = select_crash_points(&trace, cfg.max_crash_points);
-    if let Some((arm, done)) = marker_window(&phases, "recut-arm", "recut-done") {
-        points = merge_window(points, &trace, arm, done);
-    }
+    // The roll window likewise covers every op of a MANIFEST roll.
     // Checkpoint mode: every op between `ckpt-arm` and `ckpt-done` is a
     // forced crash point — each link, the manifest write, the CURRENT
     // staging and the publishing rename must leave garbage or a database.
-    if let Some((arm, done)) = marker_window(&phases, "ckpt-arm", "ckpt-done") {
-        points = merge_window(points, &trace, arm, done);
+    let mut points = select_crash_points(&trace, cfg.max_crash_points);
+    let mut windows = Vec::new();
+    for (name, arm, done) in [
+        ("recut", "recut-arm", "recut-done"),
+        ("roll", "roll-arm", "roll-done"),
+        ("checkpoint", "ckpt-arm", "ckpt-done"),
+    ] {
+        if let Some((arm, done)) = marker_window(&phases, arm, done) {
+            points = merge_window(points, &trace, arm, done);
+            let covered = points
+                .iter()
+                .filter(|&&(k, _)| k >= arm && k < done)
+                .count();
+            windows.push((name, covered));
+        }
     }
     // Vlog mode: force every value-log metadata op (create, sync/barrier,
     // punch, delete) plus its successor into the point set — these bound
@@ -971,13 +1054,16 @@ pub fn run_crash_sweep(cfg: &SweepConfig) -> Result<SweepOutcome> {
         let label = format!("eio@sync{n}");
         // Every injected fault must be accounted for: either a caller saw
         // an error, or a self-healing re-cut absorbed it (the workload's
-        // own armed MANIFEST EIO is always absorbed when healthy).
+        // own armed MANIFEST EIO is always absorbed when healthy), or a
+        // failed MANIFEST roll did (its triggering commit was already
+        // durable, and each failed roll stops at its first fault).
         let injected = env.faults_injected();
-        if injected > 0 && replay.errors == 0 && replay.stats.recuts < injected {
+        let absorbed = replay.stats.recuts + replay.stats.roll_failures;
+        if injected > 0 && replay.errors == 0 && absorbed < injected {
             violations.push(format!(
-                "{label}: injected EIO was swallowed ({} re-cut(s) for {injected} fault(s), \
-                 no caller observed an error)",
-                replay.stats.recuts
+                "{label}: injected EIO was swallowed ({} re-cut(s) and {} failed roll(s) \
+                 for {injected} fault(s), no caller observed an error)",
+                replay.stats.recuts, replay.stats.roll_failures
             ));
         }
         // The EIO may have poisoned the database; a crash right after must
@@ -1033,6 +1119,7 @@ pub fn run_crash_sweep(cfg: &SweepConfig) -> Result<SweepOutcome> {
         syncs_recorded,
         phases,
         crash_points,
+        windows,
         eio_points,
         double_crash_points,
         coverage: record.stats,
@@ -1041,10 +1128,15 @@ pub fn run_crash_sweep(cfg: &SweepConfig) -> Result<SweepOutcome> {
 }
 
 /// The `[arm, done)` op-index window bounded by two phase markers from the
-/// record run, if both were reached.
+/// record run, if both were reached: the first `done` and the last `arm`
+/// before it (a phase may re-arm once per attempt).
 fn marker_window(phases: &[(u64, String)], arm: &str, done: &str) -> Option<(u64, u64)> {
-    let arm = phases.iter().find(|(_, l)| l == arm)?.0;
     let done = phases.iter().find(|(_, l)| l == done)?.0;
+    let arm = phases
+        .iter()
+        .rev()
+        .find(|(at, l)| l == arm && *at <= done)?
+        .0;
     Some((arm, done))
 }
 
@@ -1140,8 +1232,14 @@ pub fn render_report(outcome: &SweepOutcome) -> String {
     writeln!(
         out,
         "coverage: {} flushes, {} compactions, {} settled moves, {} holes punched, \
-         {} manifest re-cuts, {} range deletes",
-        c.flushes, c.compactions, c.settled_moves, c.holes_punched, c.recuts, c.range_deletes
+         {} manifest re-cuts, {} manifest rolls, {} range deletes",
+        c.flushes,
+        c.compactions,
+        c.settled_moves,
+        c.holes_punched,
+        c.recuts,
+        c.manifest_rolls,
+        c.range_deletes
     )
     .expect("write");
     if c.checkpoints > 0 {
@@ -1168,6 +1266,9 @@ pub fn render_report(outcome: &SweepOutcome) -> String {
         outcome.double_crash_points.len()
     )
     .expect("write");
+    for (name, covered) in &outcome.windows {
+        writeln!(out, "  forced window {name}: {covered} crash points").expect("write");
+    }
     if outcome.violations.is_empty() {
         writeln!(out, "ok: all recovery invariants held").expect("write");
     } else {

@@ -91,6 +91,22 @@ fn sweep_holds_all_recovery_invariants() {
         "expected >= 5 crash points inside the re-cut window [{arm}, {done}), got {in_window}"
     );
 
+    // MANIFEST-roll phase: the workload flushes until the MANIFEST rolls,
+    // and every op of the round that rolled is a forced crash point (the
+    // snapshot append and sync, the CURRENT temp write and rename, the
+    // old file's delete).
+    assert!(c.manifest_rolls > 0, "workload never rolled the MANIFEST");
+    let roll_points = outcome
+        .windows
+        .iter()
+        .find(|(name, _)| *name == "roll")
+        .map(|&(_, n)| n)
+        .expect("record run reached the roll window");
+    assert!(
+        roll_points >= 5,
+        "expected >= 5 crash points inside the roll window, got {roll_points}"
+    );
+
     assert!(
         outcome.violations.is_empty(),
         "recovery invariant violations:\n  {}",
